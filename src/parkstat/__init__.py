@@ -12,8 +12,8 @@ from .conjecture_fit import (FitResult, MomentAnsatz, fit_moment,
 from .counting_engine import (CountMemo, count, count_symbolic,
                               verify_closed_form)
 from .errors import BudgetExceeded
-from .exactalg import (LinSys, PolyX, SymPoly, TwoPiPow, binomial,
-                       poly_add_scaled, poly_mul_xshift, solve_exact, sym_eval)
+from .exactalg import (LinSys, PolyX, SymPoly, TwoPiPow, binomial, solve_exact,
+                       sym_eval)
 from .genfun_engine import (AreaGenFun, JetAtOne, area_genfun,
                             area_genfun_many, jet_at_one, jet_many, sum_genfun)
 from .moment_lab import (MomentTable, ScaledHistogram, convert_moments,
@@ -34,7 +34,7 @@ __all__ = [
     "count", "count_symbolic", "expectation_area", "expectation_sum",
     "factorial_moments", "fit_moment", "is_a_parking", "jet_at_one",
     "jet_many", "leading_asymptotics", "moment_table", "oracle_pairs",
-    "p_prime_closed", "poly_add_scaled", "poly_mul_xshift", "scaled_histogram",
+    "p_prime_closed", "scaled_histogram",
     "solve_exact", "stirling2", "sum_genfun", "sum_stat", "sym_eval",
     "verify_closed_form", "verify_fit", "w_value",
 ]

@@ -1,8 +1,8 @@
-"""Pure-Python kernels: the hot inner loops of every engine.
+"""Kernels: the hot inner loops of every engine, in pure Python.
 
-Each function here has a byte-identical twin in the compiled extension
-parkstat._kernels_c; parkstat.backend picks one of the two at import time.
-Keep the two files in lockstep -- the test suite cross-checks them.
+The engines call these through parkstat.backend.kernels.  The brute-force
+kernel enumerates sorted vectors; the test suite checks it against a naive
+odometer over every vector.
 
 All diagonal-step kernels operate on anti-diagonals of the (length, shift)
 state triangle: `prev` holds diagonal s-1 indexed by length n', entry n'
@@ -13,39 +13,36 @@ unit boundary.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations_with_replacement
+from math import factorial
+
 BACKEND = "pure"
 
 
-def brute_area_counts(n: int, a: int, first_lo: int, first_hi: int) -> list[int]:
-    """Tally area over all preference vectors with first entry in [lo, hi).
+def brute_area_counts(n: int, a: int) -> list[int]:
+    """Tally area over all preference vectors in {1..n+a-1}^n.
 
-    Walks the odometer over {1..n+a-1}^n (first digit restricted), keeps the
-    vectors whose sorted version p_(i) <= a+i-1, and counts them by area.
-    Returns the dense list counts[area] for area = 0 .. n(2a+n-3)/2.
+    The parking condition and the area depend only on the sorted vector, so
+    this walks the multisets (sorted vectors) instead of the vectors: each
+    one that satisfies p_(i) <= a+i-1 adds its n!/prod(m_j!) orderings at
+    area offset - sum.  Returns the dense list counts[area] for
+    area = 0 .. n(2a+n-3)/2.
     """
     if n < 1:
         raise ValueError("brute kernel needs n >= 1")
-    base = n + a - 1
     max_area = n * (2 * a + n - 3) // 2
     offset = n * (2 * a + n - 1) // 2  # area = offset - sum
+    caps = range(a, a + n)
+    orderings = factorial(n)
     hist = [0] * (max_area + 1)
-    if first_lo >= first_hi:
-        return hist
-    vec = [first_lo] + [1] * (n - 1)
-    while vec[0] < first_hi:
-        srt = sorted(vec)
-        ok = True
-        for i in range(n):
-            if srt[i] > a + i:
-                ok = False
-                break
-        if ok:
-            hist[offset - sum(vec)] += 1
-        j = n - 1
-        while j > 0 and vec[j] == base:
-            vec[j] = 1
-            j -= 1
-        vec[j] += 1
+    for srt in combinations_with_replacement(range(1, n + a), n):
+        if any(p > cap for p, cap in zip(srt, caps)):
+            continue
+        weight = orderings
+        for m in Counter(srt).values():
+            weight //= factorial(m)
+        hist[offset - sum(srt)] += weight
     return hist
 
 

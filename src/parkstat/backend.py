@@ -1,20 +1,10 @@
-"""Kernel backend selection.
+"""The kernels module the engines call.
 
-The compiled extension is preferred when importable; PARKSTAT_PURE=1 forces
-the pure-Python twins.  Engines access the active module through the
-`kernels` attribute so tests can swap backends at runtime.
+Engines look kernels up as `backend.kernels.<name>` at call time, so a
+caller can replace a kernel attribute here (timing wrappers do) and every
+engine sees it.
 """
 
-from __future__ import annotations
-
-import os
-
-if os.environ.get("PARKSTAT_PURE"):
-    from . import _kernels_pure as kernels
-else:
-    try:
-        from . import _kernels_c as kernels  # type: ignore[no-redef]
-    except ImportError:
-        from . import _kernels_pure as kernels
+from . import _kernels_pure as kernels
 
 BACKEND = kernels.BACKEND

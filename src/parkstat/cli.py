@@ -36,7 +36,6 @@ class RunConfig:
     k: int = 2
     grid: tuple[int, ...] = ()
     budget: int = 10**7
-    threads: int = 1
     precision: int = 15
     fmt: str = "text"
     out: str | None = None
@@ -51,8 +50,12 @@ def _emit(cfg: RunConfig, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if cfg.out:
-        with open(cfg.out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            # reported by main() as a usage error, like any other bad value
+            raise ValueError(f"cannot write --out {cfg.out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -215,7 +218,7 @@ def _verify_oracle_suite(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     checks = []
     bad = []
     for n, a in pairs:
-        hist = brute_histogram(n, a, budget=cfg.budget, threads=cfg.threads)
+        hist = brute_histogram(n, a, budget=cfg.budget)
         gf = genfuns[(n, a)]
         expected = {m: c for m, c in enumerate(gf.poly.coeffs) if c}
         if hist.counts != expected:
@@ -329,6 +332,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         except ValueError:
             print(f"invalid --grid value: {args.grid!r}", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
+    for flag, value in (("--precision", args.precision), ("--threads", args.threads)):
+        if value < 1:
+            print(f"invalid {flag} value: {value} (must be >= 1)", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
     return RunConfig(
         command=args.command,
         n=args.n,
@@ -336,7 +343,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         k=args.k,
         grid=grid,
         budget=args.budget,
-        threads=args.threads,
         precision=args.precision,
         fmt=args.fmt,
         out=args.out,

@@ -101,14 +101,6 @@ class PolyX:
     def coeff(self, m: int) -> int:
         return self.coeffs[m] if 0 <= m < len(self.coeffs) else 0
 
-    def mul_xshift(self, e: int) -> PolyX:
-        """Multiply by x^e (pure exponent shift)."""
-        if e < 0:
-            raise ValueError("shift exponent must be >= 0")
-        if not self.coeffs:
-            return self
-        return PolyX((0,) * e + self.coeffs)
-
     def add_scaled(self, other: PolyX, c: int = 1) -> PolyX:
         """self + c * other, coefficientwise."""
         if c == 0 or not other.coeffs:
@@ -132,13 +124,6 @@ class PolyX:
         if c == 0:
             return PolyX.zero()
         return PolyX(tuple(c * v for v in self.coeffs))
-
-    def eval_at(self, x: RatLike) -> RatLike:
-        """Horner evaluation; exact for int or Fraction arguments."""
-        acc: RatLike = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def eval_one(self) -> int:
         return sum(self.coeffs)
@@ -175,14 +160,6 @@ class PolyX:
 
     def __repr__(self) -> str:
         return f"PolyX({list(self.coeffs)!r})"
-
-
-def poly_mul_xshift(p: PolyX, e: int) -> PolyX:
-    return p.mul_xshift(e)
-
-
-def poly_add_scaled(p: PolyX, q: PolyX, c: int = 1) -> PolyX:
-    return p.add_scaled(q, c)
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +512,6 @@ def rat_str(x: RatLike) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rat(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def to_decimal(x: RatLike, prec: int) -> Decimal:

@@ -8,15 +8,14 @@ a = 1 gives classical parking functions.  The statistics are
     area(p) = n(2a + n - 1)/2 - sum(p)      (nonnegative exactly when
                                              p is an a-parking function)
 
-brute_histogram enumerates the full superset {1..n+a-1}^n and tallies area
-over the vectors that pass the sorted criterion.  It is deliberately naive:
-every engine in this package is validated against it.
+brute_histogram tallies area over the full superset {1..n+a-1}^n by direct
+enumeration, one sorted vector at a time, with no recurrence: every engine
+in this package is validated against it.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -100,37 +99,21 @@ def oracle_pairs(budget: int = DEFAULT_BUDGET, a_cap: int = 12) -> list[tuple[in
     return pairs
 
 
-def brute_histogram(n: int, a: int = 1, budget: int = DEFAULT_BUDGET,
-                    threads: int = 1) -> AreaHistogram:
-    """Enumerate all (n+a-1)^n preference vectors and tally area.
+def brute_histogram(n: int, a: int = 1, budget: int = DEFAULT_BUDGET) -> AreaHistogram:
+    """Tally area over all (n+a-1)^n preference vectors.
 
     Hard-fails with BudgetExceeded when the superset is larger than `budget`
-    (a truncated oracle would be worse than none).  With threads > 1 the
-    odometer range is partitioned on the first entry; the merged result is
-    identical to the sequential one.
+    (a truncated oracle would be worse than none).  The budget is charged
+    for the whole superset, although the kernel visits only its sorted
+    vectors, so the set of states an oracle budget admits stays fixed.
     """
     if n < 0 or a < 1:
         raise ValueError("need n >= 0 and a >= 1")
     if n == 0:
         return AreaHistogram(n=0, a=a, counts={0: 1})
-    base = n + a - 1
-    required = base**n
+    required = (n + a - 1) ** n
     if required > budget:
         raise BudgetExceeded(required, budget, what="brute-force vectors")
-    if threads <= 1 or base == 1:
-        parts = [backend.kernels.brute_area_counts(n, a, 1, base + 1)]
-    else:
-        workers = min(threads, base)
-        bounds = [1 + (base * i) // workers for i in range(workers + 1)]
-        bounds[-1] = base + 1
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda lohi: backend.kernels.brute_area_counts(n, a, *lohi),
-                zip(bounds[:-1], bounds[1:]),
-            ))
-    merged = [0] * (max_area(n, a) + 1)
-    for part in parts:
-        for m, c in enumerate(part):
-            merged[m] += c
-    counts = {m: c for m, c in enumerate(merged) if c}
+    dense = backend.kernels.brute_area_counts(n, a)
+    counts = {m: c for m, c in enumerate(dense) if c}
     return AreaHistogram(n=n, a=a, counts=counts)

@@ -1,6 +1,8 @@
 """Tests for the command-line surface: formats, exit codes, determinism."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -166,6 +168,30 @@ def test_exit_code_resource_guard(capsys):
 def test_exit_code_on_invalid_value(capsys):
     code, _, err = run_cli(capsys, "moments", "--n", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["hist", "--n", "3", "--scaled", "--precision", "0"],
+    ["hist", "--n", "3", "--scaled", "--precision", "-1"],
+    ["count", "--n", "3", "--threads", "0"],
+    ["verify", "--suite", "oracle", "--budget", "1000", "--threads", "-2"],
+], ids=["precision 0", "precision -1", "threads 0", "threads -2"])
+def test_exit_code_usage_on_flag_below_one(argv):
+    proc = subprocess.run([sys.executable, "-m", "parkstat.cli", *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "must be >= 1" in proc.stderr
+
+
+def test_out_to_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run_cli(capsys, "count", "--n", "3", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and str(target) in err
+    assert not target.exists()
 
 
 def test_out_writes_file(tmp_path, capsys):

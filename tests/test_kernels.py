@@ -1,97 +1,15 @@
-"""Twin-equivalence tests: compiled kernels must match the pure reference."""
+"""Smoke test: every engine runs through the kernels module it calls."""
 
-import os
-import random
-import subprocess
-import sys
-
-import pytest
-
-from parkstat import _kernels_pure as pure
-from parkstat.exactalg import binomial_rows
-
-try:
-    from parkstat import _kernels_c as compiled
-except ImportError:
-    compiled = None
-
-needs_ext = pytest.mark.skipif(compiled is None,
-                               reason="compiled extension not built")
+import parkstat
+from parkstat import backend
 
 
-@needs_ext
-def test_brute_twins():
-    for n, a in [(1, 1), (2, 1), (3, 2), (4, 3), (5, 1), (6, 1)]:
-        base = n + a - 1
-        assert compiled.brute_area_counts(n, a, 1, base + 1) == \
-               pure.brute_area_counts(n, a, 1, base + 1)
-
-
-@needs_ext
-def test_brute_twins_partitioned():
-    n, a = 5, 2
-    base = n + a - 1
-    full = pure.brute_area_counts(n, a, 1, base + 1)
-    for split in range(1, base + 1):
-        lo = compiled.brute_area_counts(n, a, 1, split + 1)
-        hi = compiled.brute_area_counts(n, a, split + 1, base + 1)
-        assert [x + y for x, y in zip(lo, hi)] == full
-
-
-@needs_ext
-def test_diagonal_step_twins():
-    rng = random.Random(5)
-    binom = binomial_rows(12)
-    prev_c = [1]
-    prev_p = [1]
-    prev_gc = [[1]]
-    prev_gp = [[1]]
-    prev_jc = [[1, 0, 0]]
-    prev_jp = [[1, 0, 0]]
-    for s in range(1, 13):
-        cur_c = compiled.count_step(prev_c, s, 12, binom)
-        cur_p = pure.count_step(prev_p, s, 12, binom)
-        assert cur_c == cur_p
-        cur_gc = compiled.genfun_step(prev_gc, s, 12, binom)
-        cur_gp = pure.genfun_step(prev_gp, s, 12, binom)
-        assert cur_gc == cur_gp
-        cur_jc = compiled.jet_step(prev_jc, s, 12, 2, binom)
-        cur_jp = pure.jet_step(prev_jp, s, 12, 2, binom)
-        assert cur_jc == cur_jp
-        prev_c, prev_p = cur_c, cur_p
-        prev_gc, prev_gp = cur_gc, cur_gp
-        prev_jc, prev_jp = cur_jc, cur_jp
-    # a couple of spot checks against the sweep outputs
-    assert prev_c[3] > 0
-    assert sum(prev_gc[4]) == prev_c[4]
-
-
-def test_env_var_forces_pure_backend():
-    env = dict(os.environ, PARKSTAT_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import parkstat; print(parkstat.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "pure"
-
-
-@needs_ext
-def test_default_backend_is_compiled():
-    env = {k: v for k, v in os.environ.items() if k != "PARKSTAT_PURE"}
-    out = subprocess.run(
-        [sys.executable, "-c", "import parkstat; print(parkstat.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "c"
-
-
-def test_engines_run_on_pure_backend(monkeypatch):
-    import parkstat.backend as backend_mod
+def test_engines_run_on_pure_backend():
     from parkstat.counting_engine import CountMemo
     from parkstat.genfun_engine import area_genfun_many, jet_many
     from parkstat.parking_core import brute_histogram
 
-    monkeypatch.setattr(backend_mod, "kernels", pure)
+    assert parkstat.BACKEND == backend.kernels.BACKEND == "pure"
     memo = CountMemo()
     assert [memo.count(n, 1) for n in range(1, 7)] == \
            [(n + 1) ** (n - 1) for n in range(1, 7)]

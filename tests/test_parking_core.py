@@ -12,6 +12,30 @@ from parkstat.parking_core import (AreaHistogram, area_stat, brute_histogram,
                                    sum_stat)
 
 
+def odometer_area_counts(n, a):
+    """Reference oracle: visit every vector of {1..n+a-1}^n, one at a time.
+
+    Independent of the sorted-vector enumeration the package uses; it costs
+    (n+a-1)^n steps, so it serves small states only.
+    """
+    base = n + a - 1
+    offset = n * (2 * a + n - 1) // 2
+    counts = {}
+    vec = [1] * n
+    while True:
+        srt = sorted(vec)
+        if all(srt[i] <= a + i for i in range(n)):
+            area = offset - sum(vec)
+            counts[area] = counts.get(area, 0) + 1
+        j = n - 1
+        while j >= 0 and vec[j] == base:
+            vec[j] = 1
+            j -= 1
+        if j < 0:
+            return counts
+        vec[j] += 1
+
+
 def test_is_parking_examples():
     assert is_a_parking((3, 1, 1, 4), 1)
     assert not is_a_parking((4, 4, 4, 4), 1)
@@ -99,12 +123,21 @@ def test_brute_histogram_budget_guard():
     with pytest.raises(BudgetExceeded) as exc:
         brute_histogram(6, 1, budget=1000)
     assert exc.value.required == 6**6
+    # charged for the whole superset (n+a-1)^n, not the sorted vectors visited
+    for n, a in [(1, 1), (3, 2), (5, 1), (4, 4)]:
+        superset = (n + a - 1) ** n
+        assert brute_histogram(n, a, budget=superset).total > 0
+        with pytest.raises(BudgetExceeded) as exc:
+            brute_histogram(n, a, budget=superset - 1)
+        assert exc.value.required == superset
 
 
-def test_brute_histogram_threads_match_sequential():
-    for threads in (2, 3, 8):
-        assert brute_histogram(4, 2, threads=threads).counts == \
-               brute_histogram(4, 2).counts
+def test_brute_histogram_matches_odometer():
+    pairs = oracle_pairs(10**4)
+    assert len(pairs) == 45
+    for n, a in pairs:
+        assert brute_histogram(n, a, budget=10**4).counts == \
+               odometer_area_counts(n, a), (n, a)
 
 
 def test_histogram_serialization():
