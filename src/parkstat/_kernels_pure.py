@@ -1,6 +1,7 @@
 """Kernels: the hot inner loops of every engine, in pure Python.
 
-The engines call these through parkstat.backend.kernels.  The brute-force
+The engines call these through parkstat.backend.kernels; jet_step is the
+exception, kept only as a test-time reference (see there).  The brute-force
 kernel enumerates sorted vectors; the test suite checks it against a naive
 odometer over every vector.
 
@@ -108,6 +109,10 @@ def jet_step(prev: list, s: int, n_cap: int, kmax: int, binom: list) -> list:
     Entries are lists T with T[i] = Q^(i)(1)/i! (exact integers).  The shift
     x^e contributes binomially: T_i <- T_i + C(n,k) * C(e,t) * T_child[i-t],
     which is the k-times-differentiated recurrence divided through by i!.
+
+    No engine calls this: the jet engine uses the O(n^2 K^2) convolution in
+    genfun_engine.  It stays as the independent O(n^3 K^2) path the tests
+    check that engine against, and because the benchmark tracer wraps it.
     """
     top = min(s, n_cap)
     width = kmax + 1

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .counting_engine import count
 from .exactalg import TwoPiPow, _pi_decimal, rat_str, to_sig_str
 from .genfun_engine import jet_many
 
@@ -154,7 +153,8 @@ def asymptotic_check(order: int, grid: list[int],
             mom = moments[k - 1]
             devs: list[Decimal] = []
             for n in grid:
-                ek = Fraction(jets[(n, 1)].values[k], count(n, 1))
+                values = jets[(n, 1)].values  # values[0] = Q(n,1)(1), the count
+                ek = Fraction(values[k], values[0])
                 ratio = _ratio_decimal(k, n, mom, ek)
                 dev = abs(ratio - 1)
                 devs.append(dev)

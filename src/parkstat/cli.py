@@ -332,7 +332,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         except ValueError:
             print(f"invalid --grid value: {args.grid!r}", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
-    for flag, value in (("--precision", args.precision), ("--threads", args.threads)):
+    for flag, value in (("--precision", args.precision), ("--threads", args.threads),
+                        ("--budget", args.budget)):
         if value < 1:
             print(f"invalid {flag} value: {value} (must be >= 1)", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)

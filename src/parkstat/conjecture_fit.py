@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .counting_engine import count
 from .exactalg import (Inconsistent, LinSys, SymPoly, TwoPiPow, Underdetermined,
                        UniqueSolution, rat_str, solve_exact)
 from .genfun_engine import jet_many
@@ -169,8 +168,8 @@ def _moment_data(points: list[tuple[int, int]], k: int,
     jets = jet_many(points, k)
     data = {}
     for n, a in points:
-        total = count(n, a)
-        ek = Fraction(jets[(n, a)].values[k], total)
+        values = jets[(n, a)].values  # values[0] = Q(n,a)(1), the count
+        ek = Fraction(values[k], values[0])
         data[(n, a)] = (ek, expectation_area(n, a))
     return data
 

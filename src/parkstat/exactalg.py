@@ -486,14 +486,18 @@ def _pi_decimal(prec: int) -> Decimal:
         ctx.prec = prec + 10
 
         def arctan_inv(x: int) -> Decimal:
+            # the terms shrink strictly, so once one no longer changes the
+            # rounded total, none after it would
             total = term = Decimal(1) / x
             xsq = x * x
             k = 3
-            while term:
+            while True:
                 term /= xsq
-                total += -term / k if (k // 2) % 2 else term / k
+                nxt = total - term / k if (k // 2) % 2 else total + term / k
+                if nxt == total:
+                    return total
+                total = nxt
                 k += 2
-            return total
 
         pi = 16 * arctan_inv(5) - 4 * arctan_inv(239)
     with localcontext() as ctx:

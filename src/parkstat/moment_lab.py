@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .counting_engine import count
 from .exactalg import PolyX, binomial, rat_str, sqrt_decimal, to_sig_str
 from .genfun_engine import DEFAULT_CELL_BUDGET, area_genfun, jet_at_one
 
@@ -96,9 +95,8 @@ def factorial_moments(n: int, a: int = 1, order: int = 2) -> list[Fraction]:
     """E_1..E_order, with E_k = Q^(k)(n,a)(1) / (a(a+n)^(n-1))."""
     if n < 1 or a < 1 or order < 1:
         raise ValueError("need n >= 1, a >= 1, order >= 1")
-    jets = jet_at_one(n, a, order)
-    total = count(n, a)
-    return [Fraction(v, total) for v in jets.values[1:]]
+    total, *derivs = jet_at_one(n, a, order).values
+    return [Fraction(v, total) for v in derivs]
 
 
 _stirling2_rows: list[list[int]] = [[1]]
@@ -272,6 +270,8 @@ def scaled_histogram(n: int, a: int = 1, precision: int = 15,
     """
     if n < 2:
         raise ValueError("need n >= 2 for a positive variance")
+    if a < 1:
+        raise ValueError("need a >= 1 for a nonempty histogram")
     gf = area_genfun(n, a, budget)
     poly: PolyX = gf.poly
     total = poly.eval_one()

@@ -170,12 +170,25 @@ def test_exit_code_on_invalid_value(capsys):
     assert code == 2
 
 
+def test_scaled_hist_at_shift_zero_is_usage_error():
+    proc = subprocess.run([sys.executable, "-m", "parkstat.cli",
+                           "hist", "--n", "3", "--scaled", "--a", "0"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "need a >= 1" in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["hist", "--n", "3", "--scaled", "--precision", "0"],
     ["hist", "--n", "3", "--scaled", "--precision", "-1"],
     ["count", "--n", "3", "--threads", "0"],
     ["verify", "--suite", "oracle", "--budget", "1000", "--threads", "-2"],
-], ids=["precision 0", "precision -1", "threads 0", "threads -2"])
+    ["verify", "--suite", "oracle", "--budget", "0"],
+    ["verify", "--suite", "oracle", "--budget", "-1"],
+], ids=["precision 0", "precision -1", "threads 0", "threads -2", "budget 0",
+        "budget -1"])
 def test_exit_code_usage_on_flag_below_one(argv):
     proc = subprocess.run([sys.executable, "-m", "parkstat.cli", *argv],
                           capture_output=True, text=True, timeout=120)

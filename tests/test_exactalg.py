@@ -1,12 +1,13 @@
 """Tests for the exact arithmetic toolkit."""
 
 import random
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
 from parkstat.exactalg import (Inconsistent, LinSys, PolyX, SymPoly, TwoPiPow,
-                               Underdetermined, UniqueSolution, binomial,
+                               Underdetermined, UniqueSolution, _pi_decimal, binomial,
                                binomial_rows, lagrange_interpolate, rat_str,
                                solve_exact, sym_eval, to_sig_str, to_decimal,
                                sqrt_decimal)
@@ -195,3 +196,17 @@ def test_decimal_rendering():
     assert to_sig_str(to_decimal(0, 10), 5) == "0"
     s = sqrt_decimal(Fraction(2), 25)
     assert str(s).startswith("1.414213562373095")
+
+
+# pi to 110 significant digits
+PI_110 = ("3.1415926535897932384626433832795028841971693993751058209749445923"
+          "078164062862089986280348253421170679821480865")
+
+
+def test_pi_decimal_matches_reference_digits():
+    for prec in range(1, 101):
+        with localcontext() as ctx:
+            ctx.prec = prec
+            ctx.rounding = ROUND_HALF_EVEN
+            want = +Decimal(PI_110)
+        assert str(_pi_decimal(prec)) == str(want)
