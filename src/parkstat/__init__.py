@@ -9,11 +9,9 @@ from .airy import AiryMoment, airy_moments, asymptotic_check
 from .backend import BACKEND
 from .conjecture_fit import (FitResult, MomentAnsatz, fit_moment,
                              leading_asymptotics, verify_fit)
-from .counting_engine import (CountMemo, count, count_symbolic,
-                              verify_closed_form)
+from .counting_engine import count, count_symbolic, verify_closed_form
 from .errors import BudgetExceeded
-from .exactalg import (LinSys, PolyX, SymPoly, TwoPiPow, binomial, solve_exact,
-                       sym_eval)
+from .exactalg import LinSys, PolyX, SymPoly, TwoPiPow, binomial, solve_exact
 from .genfun_engine import (AreaGenFun, JetAtOne, area_genfun,
                             area_genfun_many, jet_at_one, jet_many, sum_genfun)
 from .moment_lab import (MomentTable, ScaledHistogram, convert_moments,
@@ -27,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AiryMoment", "AreaGenFun", "AreaHistogram", "BACKEND", "BudgetExceeded",
-    "CountMemo", "FitResult", "JetAtOne", "LinSys", "MomentAnsatz",
+    "FitResult", "JetAtOne", "LinSys", "MomentAnsatz",
     "MomentTable", "PolyX", "ScaledHistogram", "SymPoly", "TwoPiPow",
     "airy_moments", "area_genfun", "area_genfun_many", "area_stat",
     "asymptotic_check", "binomial", "brute_histogram", "convert_moments",
@@ -35,6 +33,6 @@ __all__ = [
     "factorial_moments", "fit_moment", "is_a_parking", "jet_at_one",
     "jet_many", "leading_asymptotics", "moment_table", "oracle_pairs",
     "p_prime_closed", "scaled_histogram",
-    "solve_exact", "stirling2", "sum_genfun", "sum_stat", "sym_eval",
+    "solve_exact", "stirling2", "sum_genfun", "sum_stat",
     "verify_closed_form", "verify_fit", "w_value",
 ]

@@ -1,7 +1,8 @@
 """Kernels: the hot inner loops of every engine, in pure Python.
 
-The engines call these through parkstat.backend.kernels; jet_step is the
-exception, kept only as a test-time reference (see there).  The brute-force
+The engines call these through parkstat.backend.kernels; count_step and
+jet_step are the exceptions, kept only as test-time references (see
+there).  The brute-force
 kernel enumerates sorted vectors; the test suite checks it against a naive
 odometer over every vector.
 
@@ -52,6 +53,11 @@ def count_step(prev: list, s: int, n_cap: int, binom: list) -> list:
 
     cur[n'] = p(n', s-n') = p(n', s-n'-1) + sum_k C(n',k) p(n'-k, s-n'+k-1),
     with all referenced states living on diagonal s-1 (= prev).
+
+    No engine calls this: counting_engine.count reads the order-0 jet of the
+    convolution engine in genfun_engine.  It stays as the independent O(n^3)
+    path the tests check those counts against, and because the benchmark
+    tracer wraps it.
     """
     top = min(s, n_cap)
     cur = [0] * (top + 1)

@@ -184,13 +184,18 @@ def _eval_mono(exps: tuple[int, ...], symbols: tuple[str, ...],
     return out
 
 
+def _row(ansatz: MomentAnsatz, n: int, a: int, e1: Fraction) -> list[Fraction]:
+    """Coefficients of the unknowns in E_k(n,a) = A(n,a) + B(n,a) E_1(n,a)."""
+    row = [_eval_mono(e, ansatz.symbols, n, a) for e in ansatz.basis_a]
+    row += [_eval_mono(e, ansatz.symbols, n, a) * e1 for e in ansatz.basis_b]
+    return row
+
+
 def _attempt(ansatz: MomentAnsatz, samples, holdout, data):
     sysm = LinSys(ansatz.unknowns)
     for n, a in samples:
         ek, e1 = data[(n, a)]
-        row = [_eval_mono(e, ansatz.symbols, n, a) for e in ansatz.basis_a]
-        row += [_eval_mono(e, ansatz.symbols, n, a) * e1 for e in ansatz.basis_b]
-        sysm.add_row(row, ek)
+        sysm.add_row(_row(ansatz, n, a, e1), ek)
     sol = solve_exact(sysm)
     if isinstance(sol, Underdetermined):
         return "underdetermined", sol.free_column, None, None
@@ -219,20 +224,14 @@ def _inconsistency_witness(ansatz, samples, data):
     square = LinSys(u)
     for n, a in samples[:u]:
         ek, e1 = data[(n, a)]
-        row = [_eval_mono(e, ansatz.symbols, n, a) for e in ansatz.basis_a]
-        row += [_eval_mono(e, ansatz.symbols, n, a) * e1 for e in ansatz.basis_b]
-        square.add_row(row, ek)
+        square.add_row(_row(ansatz, n, a, e1), ek)
     sol = solve_exact(square)
     if not isinstance(sol, UniqueSolution):
         return samples[0]
-    na = len(ansatz.basis_a)
     for n, a in samples[u:]:
         ek, e1 = data[(n, a)]
-        lhs = sum(c * _eval_mono(e, ansatz.symbols, n, a)
-                  for e, c in zip(ansatz.basis_a, sol.values[:na]))
-        lhs += sum(c * _eval_mono(e, ansatz.symbols, n, a)
-                   for e, c in zip(ansatz.basis_b, sol.values[na:])) * e1
-        if lhs != ek:
+        row = _row(ansatz, n, a, e1)
+        if sum(r * c for r, c in zip(row, sol.values)) != ek:
             return (n, a)
     return samples[0]
 

@@ -1,16 +1,19 @@
-"""Exact counting of a-parking functions via the fundamental recurrence.
+"""Exact counting of a-parking functions by recurrence, not by closed form.
 
 With p(n, a) the number of a-parking functions of length n, moving the k = 0
-term of the recurrence to the left gives
+term of the fundamental recurrence to the left gives
 
     p(n, a) = p(n, a-1) + sum_{k=1..n} C(n,k) p(n-k, a+k-1),
     p(0, a) = 1,  p(n, 0) = 0 for n >= 1.
 
-Every state referenced on the right lives on the anti-diagonal n + a - 1, so
-the memo table is filled one anti-diagonal at a time.  count_symbolic runs
-the same recurrence with a symbolic shift, telescoping the right-hand side
-over the shift with exact polynomial summation, and verify_closed_form is
-the proof-by-evaluation that the result equals a(a+n)^(n-1).
+count takes p(n, a) = Q(n,a)(1) from the jet engine at order 0, i.e. from
+the Kreweras convolution and the Kung-Yan addition law (see genfun_engine).
+The anti-diagonal sweep of the recurrence above (kernels.count_step) is kept
+only as the test-time cross-check of those counts, like kernels.jet_step.
+count_symbolic runs the recurrence with a symbolic shift, telescoping the
+right-hand side over the shift with exact polynomial summation, and
+verify_closed_form is the proof-by-evaluation that the counts equal
+a(a+n)^(n-1).
 """
 
 from __future__ import annotations
@@ -18,62 +21,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import backend
-from .exactalg import SymPoly, binomial, binomial_rows, lagrange_interpolate
+from .exactalg import SymPoly, binomial, lagrange_interpolate
+from .genfun_engine import jet_many
 
 
-class CountMemo:
-    """Retained table of p(n, a) values, grown by anti-diagonal sweeps.
+def count(n: int, a: int = 1) -> int:
+    """Number of a-parking functions of length n, by the jet recurrence.
 
-    Cells are write-once; a lookup outside the computed triangle triggers a
-    resweep with geometrically grown bounds so ascending request patterns
-    stay near-linear in total work.
+    The order-0 jet of Q(n,a) at x = 1 is the count; see jet_many.
     """
-
-    def __init__(self):
-        self._values: dict[tuple[int, int], int] = {(0, 0): 1}
-        self._n_cap = 0
-        self._s_max = 0
-
-    def ensure(self, n_cap: int, s_max: int) -> None:
-        if n_cap <= self._n_cap and s_max <= self._s_max:
-            return
-        n_cap = max(n_cap, self._n_cap)
-        s_max = max(s_max, self._s_max)
-        if n_cap > self._n_cap:
-            n_cap = max(n_cap, (self._n_cap * 3) // 2 + 1)
-        if s_max > self._s_max:
-            s_max = max(s_max, (self._s_max * 3) // 2 + 1)
-        n_cap = min(n_cap, s_max)
-        binom = binomial_rows(n_cap)
-        values = {(0, 0): 1}
-        prev = [1]
-        for s in range(1, s_max + 1):
-            cur = backend.kernels.count_step(prev, s, n_cap, binom)
-            for n, v in enumerate(cur):
-                values[(n, s - n)] = v
-            prev = cur
-        self._values = values
-        self._n_cap = n_cap
-        self._s_max = s_max
-
-    def count(self, n: int, a: int) -> int:
-        if n < 0 or a < 0:
-            raise ValueError("need n >= 0 and a >= 0")
-        if n == 0:
-            return 1
-        if a == 0:
-            return 0
-        self.ensure(n, n + a)
-        return self._values[(n, a)]
-
-
-_shared_memo = CountMemo()
-
-
-def count(n: int, a: int = 1, memo: CountMemo | None = None) -> int:
-    """Number of a-parking functions of length n, by the recurrence."""
-    return (memo or _shared_memo).count(n, a)
+    if n < 0 or a < 0:
+        raise ValueError("need n >= 0 and a >= 0")
+    return jet_many([(n, a)], 0)[(n, a)].values[0]
 
 
 def _shift_poly(coeffs: list[Fraction], c: int) -> list[Fraction]:
@@ -184,22 +143,21 @@ def _identity_rhs(n: int, a: int) -> int:
     return acc
 
 
-def verify_closed_form(n_max: int, a_max: int,
-                       memo: CountMemo | None = None) -> ClosedFormReport:
+def verify_closed_form(n_max: int, a_max: int) -> ClosedFormReport:
     """Check p(n,a) = a(a+n)^(n-1) and the binomial identity on a grid."""
     if n_max < 1 or a_max < 1:
         raise ValueError("need n_max >= 1 and a_max >= 1")
-    memo = memo or _shared_memo
+    grid = [(n, a) for n in range(1, n_max + 1) for a in range(1, a_max + 1)]
+    counts = jet_many(grid, 0)
     claim = "proved" if a_max >= n_max + 1 else "checked"
     checked = 0
-    for n in range(1, n_max + 1):
-        for a in range(1, a_max + 1):
-            closed = a * (a + n) ** (n - 1)
-            if memo.count(n, a) != closed:
-                return ClosedFormReport(False, checked, n_max, a_max, claim,
-                                        (n, a), "count")
-            if _identity_rhs(n, a) != closed:
-                return ClosedFormReport(False, checked, n_max, a_max, claim,
-                                        (n, a), "identity")
-            checked += 1
+    for n, a in grid:
+        closed = a * (a + n) ** (n - 1)
+        if counts[(n, a)].values[0] != closed:
+            return ClosedFormReport(False, checked, n_max, a_max, claim,
+                                    (n, a), "count")
+        if _identity_rhs(n, a) != closed:
+            return ClosedFormReport(False, checked, n_max, a_max, claim,
+                                    (n, a), "identity")
+        checked += 1
     return ClosedFormReport(True, checked, n_max, a_max, claim)

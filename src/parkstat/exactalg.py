@@ -319,10 +319,6 @@ class SymPoly:
         return f"SymPoly({self.symbols!r}, {self.terms!r})"
 
 
-def sym_eval(p: SymPoly, point: Mapping[str, RatLike]) -> Fraction:
-    return p.eval(point)
-
-
 # ---------------------------------------------------------------------------
 # Exact linear systems
 # ---------------------------------------------------------------------------
@@ -516,13 +512,6 @@ def rat_str(x: RatLike) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def to_decimal(x: RatLike, prec: int) -> Decimal:
-    x = Fraction(x)
-    with localcontext() as ctx:
-        ctx.prec = prec
-        return Decimal(x.numerator) / Decimal(x.denominator)
 
 
 def sqrt_decimal(x: RatLike, prec: int) -> Decimal:

@@ -20,10 +20,10 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 
-from parkstat import (CountMemo, airy_moments, area_genfun_many,
-                      asymptotic_check, brute_histogram, count,
-                      count_symbolic, expectation_area, fit_moment, jet_many,
-                      oracle_pairs, p_prime_closed, w_value)
+from parkstat import (airy_moments, area_genfun_many, asymptotic_check,
+                      brute_histogram, count, count_symbolic,
+                      expectation_area, fit_moment, jet_many, oracle_pairs,
+                      p_prime_closed, w_value)
 from parkstat.cli import main as cli_main
 from parkstat.counting_engine import closed_form_symbolic
 from parkstat.exactalg import SymPoly, binomial
@@ -39,8 +39,7 @@ def report(idx: int, name: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_1_closed_form_counting():
     t0 = time.perf_counter()
-    memo = CountMemo()
-    bad = [n for n in range(1, 201) if memo.count(n, 1) != (n + 1) ** (n - 1)]
+    bad = [n for n in range(1, 201) if count(n, 1) != (n + 1) ** (n - 1)]
     elapsed = time.perf_counter() - t0
     ok = not bad and elapsed < 10.0
     report(1, "closed-form counting n<=200", ok, f"{elapsed:.2f}s")
@@ -89,9 +88,8 @@ def test_criterion_4_jet_polynomial_cross_validation():
 def test_criterion_5_expectation_closed_forms():
     jet_targets = [(n, a) for n in range(1, 101) for a in range(1, 6)]
     jets = jet_many(jet_targets, 1)
-    memo = CountMemo()
     bad_jets = [(n, a) for n, a in jet_targets
-                if expectation_area(n, a) * memo.count(n, a)
+                if expectation_area(n, a) * (a * (a + n) ** (n - 1))
                 != jets[(n, a)].values[1]]
 
     bad_w = [n for n in range(1, 201)

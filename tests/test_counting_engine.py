@@ -1,11 +1,15 @@
 """Tests for the counting recurrence, symbolic counting, and closed form."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from parkstat.counting_engine import (ClosedFormReport, CountMemo,
-                                      closed_form_symbolic, count,
-                                      count_symbolic, verify_closed_form)
-from parkstat.exactalg import SymPoly, sym_eval
+from parkstat import backend
+from parkstat.counting_engine import (ClosedFormReport, closed_form_symbolic,
+                                      count, count_symbolic,
+                                      verify_closed_form)
+from parkstat.exactalg import SymPoly
+from parkstat.genfun_engine import _sweep, jet_many
 from parkstat.parking_core import brute_histogram
 
 
@@ -37,17 +41,22 @@ def test_count_monotone_in_shift():
             assert count(n, a) <= count(n, a + 1)
 
 
-def test_count_memo_growth_patterns():
-    # ascending, descending, and interleaved requests agree with a fresh memo
-    asc = CountMemo()
-    values_asc = [asc.count(n, 1) for n in range(1, 40)]
-    desc = CountMemo()
-    values_desc = [desc.count(n, 1) for n in range(39, 0, -1)][::-1]
-    assert values_asc == values_desc
-    mixed = CountMemo()
-    assert mixed.count(5, 7) == 7 * 12**4
-    assert mixed.count(20, 1) == 21**19
-    assert mixed.count(5, 7) == 7 * 12**4
+@pytest.mark.parametrize("targets", [
+    [(n, a) for n in range(0, 41) for a in range(0, 11)],
+    [(n, a) for n in range(0, 7) for a in (37, 300, 20000)],
+], ids=["n<=40 a<=10", "n<=6 wide shifts"])
+def test_count_matches_triangle(targets):
+    # the anti-diagonal counting recurrence (kernels.count_step) is the
+    # independent reference for the jet engine's order-0 counts
+    want = _sweep(targets, 1, backend.kernels.count_step, None)
+    jets = jet_many(targets, 0)
+    assert {state: jet.values[0] for state, jet in jets.items()} == want
+    assert {state: count(*state) for state in targets} == want
+
+
+@given(n=st.integers(0, 60), a=st.integers(0, 40))
+def test_count_equals_closed_form_property(n, a):
+    assert count(n, a) == (1 if n == 0 else a * (a + n) ** (n - 1))
 
 
 def test_count_rejects_negative():
@@ -73,7 +82,7 @@ def test_count_symbolic_evaluates_to_counts():
     for n in range(0, 11):
         p = count_symbolic(n)
         for j in range(1, 11):
-            assert sym_eval(p, {"a": j}) == count(n, j)
+            assert p.eval({"a": j}) == count(n, j)
 
 
 def test_verify_closed_form_success():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from parkstat import backend
 from parkstat.airy import asymptotic_check
 from parkstat.conjecture_fit import fit_moment
-from parkstat.counting_engine import count
+from parkstat.cli import main as cli_main
+from parkstat.counting_engine import count, verify_closed_form
 from parkstat.errors import BudgetExceeded
 from parkstat.exactalg import PolyX
 from parkstat.genfun_engine import (_sweep, area_genfun, area_genfun_many,
@@ -164,15 +165,21 @@ def test_jets_equal_polynomial_derivatives_property(n, a, order):
     assert jet_at_one(n, a, order).values == expected
 
 
-def test_production_paths_avoid_the_triangle(monkeypatch):
+def test_production_paths_avoid_the_triangle(monkeypatch, capsys):
     def refuse(*args, **kwargs):
-        raise AssertionError("the triangle jet kernel is a test-only cross-check")
+        raise AssertionError("the triangle kernels are test-only cross-checks")
 
     monkeypatch.setattr(backend.kernels, "jet_step", refuse)
+    monkeypatch.setattr(backend.kernels, "count_step", refuse)
     assert jet_many([(12, 1), (7, 3)], 4)[(12, 1)].values[0] == 13 ** 11
     assert moment_table(30, 2, 4).factorial[0] > 0
     assert len(asymptotic_check(3, [10, 20]).rows) == 6
     assert fit_moment(2).status == "verified"
+    assert count(30, 4) == 4 * 34 ** 29
+    assert verify_closed_form(10, 11).ok
+    assert cli_main(["count", "--n", "50"]) == 0
+    assert capsys.readouterr().out == f"{51 ** 49}\n"
+    assert cli_main(["verify", "--suite", "closed-form"]) == 0
 
 
 def test_genfun_budget_guard():

@@ -5,13 +5,12 @@ from parkstat import backend
 
 
 def test_engines_run_on_pure_backend():
-    from parkstat.counting_engine import CountMemo
+    from parkstat.counting_engine import count
     from parkstat.genfun_engine import area_genfun_many, jet_many
     from parkstat.parking_core import brute_histogram
 
     assert parkstat.BACKEND == backend.kernels.BACKEND == "pure"
-    memo = CountMemo()
-    assert [memo.count(n, 1) for n in range(1, 7)] == \
+    assert [count(n, 1) for n in range(1, 7)] == \
            [(n + 1) ** (n - 1) for n in range(1, 7)]
     gf = area_genfun_many([(3, 1)])[(3, 1)]
     assert gf.poly.coeffs == (6, 6, 3, 1)

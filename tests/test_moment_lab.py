@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from parkstat.counting_engine import count
-from parkstat.exactalg import sqrt_decimal, to_decimal
+from parkstat.exactalg import sqrt_decimal
 from parkstat.genfun_engine import jet_many, sum_genfun
 from parkstat.moment_lab import (convert_moments, expectation_area,
                                  expectation_sum, factorial_moments,
@@ -32,7 +32,8 @@ def test_w_asymptotic_ratio_tightens():
 
         def dev(n):
             scale = (2 * pi).sqrt() / 2 * Decimal(n**3).sqrt()
-            return abs(to_decimal(w_value(n), 40) / scale - 1)
+            w = w_value(n)
+            return abs(Decimal(w.numerator) / w.denominator / scale - 1)
 
         assert dev(4000) < dev(400)
 
