@@ -356,6 +356,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # exact results have no size limit, so neither has their decimal form
+    # (Python 3.11, and 3.10.7 on, cap int <-> str conversion at 4300
+    # digits by default)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = _config_from_args(args)

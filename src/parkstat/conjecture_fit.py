@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactalg import (Inconsistent, LinSys, SymPoly, TwoPiPow, Underdetermined,
-                       UniqueSolution, rat_str, solve_exact)
+from .exactalg import (Inconsistent, LinSys, RatLike, SymPoly, TwoPiPow,
+                       Underdetermined, UniqueSolution, rat_str, solve_exact)
 from .genfun_engine import jet_many
 from .moment_lab import expectation_area
 
@@ -175,18 +175,17 @@ def _moment_data(points: list[tuple[int, int]], k: int,
 
 
 def _eval_mono(exps: tuple[int, ...], symbols: tuple[str, ...],
-               n: int, a: int) -> Fraction:
+               n: int, a: int) -> int:
     vals = {"n": n, "a": a}
-    out = Fraction(1)
+    out = 1
     for s, e in zip(symbols, exps):
-        if e:
-            out *= Fraction(vals[s]) ** e
+        out *= vals[s] ** e
     return out
 
 
-def _row(ansatz: MomentAnsatz, n: int, a: int, e1: Fraction) -> list[Fraction]:
+def _row(ansatz: MomentAnsatz, n: int, a: int, e1: Fraction) -> list[RatLike]:
     """Coefficients of the unknowns in E_k(n,a) = A(n,a) + B(n,a) E_1(n,a)."""
-    row = [_eval_mono(e, ansatz.symbols, n, a) for e in ansatz.basis_a]
+    row: list[RatLike] = [_eval_mono(e, ansatz.symbols, n, a) for e in ansatz.basis_a]
     row += [_eval_mono(e, ansatz.symbols, n, a) * e1 for e in ansatz.basis_b]
     return row
 

@@ -250,3 +250,26 @@ def test_thread_determinism(tmp_path, capsys):
         assert code == 0
         outputs.append(target.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_count_prints_results_past_the_int_str_limit():
+    # a(a+2) = 10^4400 + 2*10^2200 for a = 10^2200: 4401 digits, past
+    # Python's default 4300-digit cap on int -> str conversion (spelled out
+    # here, since this process may still have the cap)
+    proc = subprocess.run([sys.executable, "-m", "parkstat.cli",
+                           "count", "--n", "2", "--a", "1" + "0" * 2200],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout == "1" + "0" * 2199 + "2" + "0" * 2200 + "\n"
+    assert proc.stderr == ""
+
+
+def test_cli_import_loads_no_heavy_numeric_package():
+    # these would add to every job's memory and start-up time
+    heavy = ("numpy", "sympy", "mpmath", "gmpy2")
+    code = ("import sys, parkstat.cli; "
+            f"print(sorted(m for m in {heavy!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

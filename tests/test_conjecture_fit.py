@@ -82,18 +82,31 @@ def test_fit_stability_under_larger_sample():
     assert wide.b_poly == base.b_poly
 
 
+def _at_a_one(poly: SymPoly) -> SymPoly:
+    """An (n, a) polynomial with a = 1 substituted, as a polynomial in n."""
+    terms = {}
+    for (i, j), c in poly.terms.items():
+        terms[(i,)] = terms.get((i,), Fraction(0)) + c
+    return SymPoly(("n",), terms)
+
+
 def test_fit_general_a_restricts_to_classical():
     fit = fit_moment(2, general_a=True)
     assert fit.status == "verified"
     # substitute a = 1 and compare with the known n-only polynomials
-    restricted_a = {}
-    restricted_b = {}
-    for (i, j), c in fit.a_poly.terms.items():
-        restricted_a[(i,)] = restricted_a.get((i,), Fraction(0)) + c
-    for (i, j), c in fit.b_poly.terms.items():
-        restricted_b[(i,)] = restricted_b.get((i,), Fraction(0)) + c
-    assert SymPoly(("n",), restricted_a) == SECOND_A
-    assert SymPoly(("n",), restricted_b) == SECOND_B
+    assert _at_a_one(fit.a_poly) == SECOND_A
+    assert _at_a_one(fit.b_poly) == SECOND_B
+
+
+def test_fit_general_a_k5_restricts_to_classical():
+    # 211 unknowns: the largest two-symbol system the suite solves
+    fit = fit_moment(5, general_a=True)
+    assert fit.status == "verified"
+    assert not fit.escalated
+    classical = fit_moment(5)
+    assert classical.status == "verified"
+    assert _at_a_one(fit.a_poly) == classical.a_poly
+    assert _at_a_one(fit.b_poly) == classical.b_poly
 
 
 def test_fit_general_a_key_coefficients():

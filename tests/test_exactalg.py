@@ -5,11 +5,15 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from parkstat.exactalg import (Inconsistent, LinSys, PolyX, SymPoly, TwoPiPow,
-                               Underdetermined, UniqueSolution, _pi_decimal, binomial,
-                               binomial_rows, lagrange_interpolate, rat_str,
-                               solve_exact, to_sig_str, sqrt_decimal)
+from parkstat import exactalg
+from parkstat.exactalg import (_PRIMES, Inconsistent, LinSys, PolyX, SymPoly, TwoPiPow,
+                               Underdetermined, UniqueSolution, _gauss_jordan,
+                               _pi_decimal, _solve_modular, binomial, binomial_rows,
+                               lagrange_interpolate, rat_str, solve_exact, to_sig_str,
+                               sqrt_decimal)
 
 
 @pytest.mark.parametrize("n,k,expected", [(4, 2, 6), (7, 0, 1), (5, 9, 0)])
@@ -124,6 +128,151 @@ def test_solve_planted_solutions():
         sol = solve_exact(sys)
         if isinstance(sol, UniqueSolution):
             assert list(sol.values) == planted
+
+
+def _planted_system(rng, planted, rows, coeff_bits=4):
+    """`rows` random Fraction rows, right-hand sides from `planted`."""
+    sys = LinSys(len(planted))
+    top = 2**coeff_bits
+    for _ in range(rows):
+        row = [Fraction(rng.randint(-top, top), rng.randint(1, top))
+               for _ in planted]
+        sys.add_row(row, sum(c * x for c, x in zip(row, planted)))
+    return sys
+
+
+@st.composite
+def linear_systems(draw):
+    """Square, overdetermined, rank-deficient and inconsistent systems.
+
+    Planted solutions reach ~200-bit numerators and denominators, so the
+    modular path needs several primes and their CRT combination.
+    """
+    w = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["square", "over", "deficient", "inconsistent"]))
+    bits = draw(st.integers(1, 200))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    planted = [Fraction(rng.randint(-2**bits, 2**bits), rng.randint(1, 2**bits))
+               for _ in range(w)]
+    if kind == "square":
+        return _planted_system(rng, planted, w)
+    if kind == "over":
+        return _planted_system(rng, planted, w + draw(st.integers(1, 4)))
+    if kind == "inconsistent":
+        sys = _planted_system(rng, planted, w + draw(st.integers(1, 4)))
+        i = rng.randrange(len(sys.rows))
+        coeffs, rhs = sys.rows[i]
+        sys.rows[i] = (coeffs, rhs + Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        return sys
+    # rank < w: every row is an integer combination of fewer base rows
+    base = _planted_system(rng, planted, rng.randint(0, w - 1)).rows
+    sys = LinSys(w)
+    for _ in range(w + draw(st.integers(0, 3))):
+        mix = [rng.randint(-3, 3) for _ in base]
+        coeffs = [sum((m * r[0][j] for m, r in zip(mix, base)), Fraction(0))
+                  for j in range(w)]
+        sys.add_row(coeffs, sum((m * r[1] for m, r in zip(mix, base)), Fraction(0)))
+    return sys
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_systems())
+def test_solve_exact_matches_gauss_jordan_property(sys):
+    assert solve_exact(sys) == _gauss_jordan(sys)
+
+
+def _record_primes(monkeypatch) -> list[int]:
+    """The primes the modular path eliminates modulo, in order."""
+    used = []
+    real = exactalg._solve_mod_p
+
+    def spy(sys, p, inverses):
+        used.append(p)
+        return real(sys, p, inverses)
+
+    monkeypatch.setattr(exactalg, "_solve_mod_p", spy)
+    return used
+
+
+def test_modular_path_combines_several_primes(monkeypatch):
+    # 150-bit numerators and denominators need at least five 61-bit primes
+    rng = random.Random(11)
+    planted = [Fraction(rng.getrandbits(150) | 1 << 149, rng.getrandbits(150) | 1)
+               for _ in range(5)]
+    sys = _planted_system(rng, planted, 8)
+    used = _record_primes(monkeypatch)
+    assert _solve_modular(sys) == UniqueSolution(values=tuple(planted))
+    assert len(used) >= 5
+
+
+def test_prime_dividing_a_coefficient_forces_the_fallback():
+    # mod _PRIMES[0] the first column vanishes: a rank drop, not a free column
+    p = _PRIMES[0]
+    sys = LinSys(2)
+    sys.add_row([p, 1], p + 2)
+    sys.add_row([2 * p, 3], 2 * p + 6)
+    assert _solve_modular(sys) is None
+    assert solve_exact(sys) == UniqueSolution(values=(Fraction(1), Fraction(2)))
+
+
+def test_prime_dividing_a_denominator_is_skipped(monkeypatch):
+    p = _PRIMES[0]
+    sys = LinSys(2)
+    sys.add_row([Fraction(1, p), 1], Fraction(5, p) + 7)
+    sys.add_row([1, -1], -2)
+    used = _record_primes(monkeypatch)
+    want = UniqueSolution(values=(Fraction(5), Fraction(7)))
+    assert _solve_modular(sys) == want
+    assert used == [_PRIMES[1]]
+    assert solve_exact(sys) == want
+
+
+def test_exact_resubstitution_rejects_a_wrong_reconstruction(monkeypatch):
+    # the modular step may propose anything; only a vector that satisfies
+    # every row exactly is returned
+    sys = LinSys(2)
+    sys.add_row([1, 1], 3)
+    sys.add_row([1, -1], 1)
+    sys.add_row([2, 1], 5)
+    monkeypatch.setattr(exactalg, "_reconstruct_all",
+                        lambda residues, modulus: [Fraction(1), Fraction(2)])
+    assert _solve_modular(sys) is None
+    assert solve_exact(sys) == UniqueSolution(values=(Fraction(2), Fraction(1)))
+
+
+def _is_prime(n: int) -> bool:
+    # Miller-Rabin with the twelve prime bases up to 37 is deterministic
+    # for n < 3.3 * 10^24 (Sorenson & Webster 2015)
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    assert n < 3 * 10**24
+    if n < 2:
+        return False
+    if n in bases:
+        return True
+    if any(n % b == 0 for b in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_modular_primes_are_distinct_61_bit_primes():
+    assert 6 <= len(_PRIMES) == len(set(_PRIMES))
+    assert all(p.bit_length() == 61 and _is_prime(p) for p in _PRIMES)
+    assert _is_prime(2**61 - 1) and not _is_prime(2**61 - 3)
+    assert [n for n in range(40) if _is_prime(n)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 
 def test_sympoly_eval_examples():
