@@ -332,9 +332,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         except ValueError:
             print(f"invalid --grid value: {args.grid!r}", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
+    n_max = getattr(args, "n_max", None)
     for flag, value in (("--precision", args.precision), ("--threads", args.threads),
-                        ("--budget", args.budget)):
-        if value < 1:
+                        ("--budget", args.budget), ("--n-max", n_max)):
+        if value is not None and value < 1:
             print(f"invalid {flag} value: {value} (must be >= 1)", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
     return RunConfig(
@@ -350,7 +351,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         symbolic=getattr(args, "symbolic", False),
         scaled=getattr(args, "scaled", False),
         general_a=getattr(args, "general_a", False),
-        n_max=getattr(args, "n_max", None),
+        n_max=n_max,
         suite=getattr(args, "suite", "all"),
     )
 

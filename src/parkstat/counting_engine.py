@@ -6,8 +6,9 @@ term of the fundamental recurrence to the left gives
     p(n, a) = p(n, a-1) + sum_{k=1..n} C(n,k) p(n-k, a+k-1),
     p(0, a) = 1,  p(n, 0) = 0 for n >= 1.
 
-count takes p(n, a) = Q(n,a)(1) from the jet engine at order 0, i.e. from
-the Kreweras convolution and the Kung-Yan addition law (see genfun_engine).
+count takes p(n, a) = Q(n,a)(1) from the jet engine at order 0, i.e. at
+a = 1 from Cayley's formula by Lagrange inversion (the order-0 Wright sum)
+and above it from the Kung-Yan addition law (see genfun_engine).
 The anti-diagonal sweep of the recurrence above (kernels.count_step) is kept
 only as the test-time cross-check of those counts, like kernels.jet_step.
 count_symbolic runs the recurrence with a symbolic shift, telescoping the

@@ -19,23 +19,33 @@ Two engines compute Q:
   * jet_at_one carries only (Q(1), Q'(1), ..., Q^(K)(1)) per state (the
     performance path; this is what makes n in the hundreds cheap).
 
-The jets do not use the triangle.  Every Q(m,1) up to the longest target
-comes from one pass of the Kreweras convolution (area enumerator of
-parking functions = inversion enumerator of trees),
+The jets use neither the triangle nor, past a small seed, the Kreweras
+convolution (area enumerator of parking functions = inversion enumerator
+of trees),
 
-    Q(m,1) = sum_{i<m} C(m-1,i) [i+1]_x Q(i,1) Q(m-1-i,1),
+    Q(m,1) = sum_{i<m} C(m-1,i) [i+1]_x Q(i,1) Q(m-1-i,1).
 
-in O(n^2 K^2) instead of the triangle's O(n^3 K^2); larger shifts follow
-from the Kung-Yan shift decomposition and the addition law it implies
-(see _compose).  Jets are held in the Taylor basis T_i = Q^(i)(1)/i!, where
-products are truncated Leibniz convolutions and the monomial x^e is the
-binomial jet C(e,t); they are converted back to derivative values on
-harvest.  The triangle's jet kernel (kernels.jet_step) is kept as the
-test-time cross-check of this engine.
+By Mallows-Riordan and Kreweras, Taylor coefficient t of Q(n,1) at x = 1
+is c(n+1, n+t), the number of connected graphs on n+1 labelled vertices
+with excess t-1 (Knuth, "Linear probing and graphs", Algorithmica 1998).
+Wright (J. Graph Theory 1977) gives their generating functions as
+W_k = P_k(T)/(1-T)^{3k} in the tree function T, so Lagrange inversion
+turns each count into one sum over O(n) terms, O(nK) big-by-small work
+per length (see _wright_jet); the order-0 term is Cayley's formula.  The
+polynomials P_k are read off exact jets at n <= 3K-2, which the
+convolution computes on first use at each order K (_wright_polys).  Larger shifts
+follow from the Kung-Yan shift decomposition and the addition law it
+implies (see _compose), fed with the Wright jets of every m <= n.  Jets are
+held in the Taylor basis T_i = Q^(i)(1)/i!, where products are truncated
+Leibniz convolutions and the monomial x^e is the binomial jet C(e,t); they
+are converted back to derivative values on harvest.  The convolution
+(_classical_jets) and the triangle's jet kernel (kernels.jet_step) are the
+test-time cross-checks of this engine.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -209,7 +219,9 @@ def _classical_jets(n_max: int, width: int) -> list[list[int]]:
     Q(m,1) = sum_{i<m} C(m-1,i) [i+1]_x Q(i,1) Q(m-1-i,1), where
     [i+1]_x = 1 + x + ... + x^i has Taylor coefficients C(i+1, t+1).  The
     terms i and m-1-i share the product Q(i,1) Q(m-1-i,1) and the weight
-    C(m-1,i), so each pair is multiplied out once.
+    C(m-1,i), so each pair is multiplied out once.  Production runs it only
+    up to n = 3K-2, the seed size of _wright_polys; the tests run it as the
+    reference.
     """
     binom = binomial_rows(n_max)
     brackets = [[binom[i + 1][t + 1] if t <= i else 0 for t in range(width)]
@@ -226,6 +238,76 @@ def _classical_jets(n_max: int, width: int) -> list[list[int]]:
             _add_scaled(acc, row[i], _jet_mul(weight, pair, width))
         jets.append(acc)
     return jets
+
+
+def _wright_polys(top: int) -> list[tuple[list[int], int]]:
+    """Wright's P_1..P_top as (integer coefficients of T^0.., denominator).
+
+    W_k(T e^{-T}) = P_k(T)/(1-T)^{3k} with deg P_k <= 3k+2, so P_k is read
+    off the exact counts c(N, N+k) for N <= 3k+2.  Those are Taylor
+    coefficient k+1 of Q(N-1,1), from one convolution at n <= 3 top + 1:
+        d! [T^d] W_k(T e^{-T}) = sum_N C(d,N) c(N,N+k) (-N)^{d-N}.
+    """
+    seed = _classical_jets(3 * top + 1, top + 2) if top >= 1 else []
+    polys = []
+    for k in range(1, top + 1):
+        deg = 3 * k + 2
+        scale = math.factorial(deg)
+        w = [scale // math.factorial(d)
+             * sum(math.comb(d, N) * seed[N - 1][k + 1] * (-N) ** (d - N)
+                   for N in range(1, d + 1))
+             for d in range(deg + 1)]
+        p = [sum((-1) ** j * math.comb(3 * k, j) * w[d - j] for j in range(d + 1))
+             for d in range(deg + 1)]
+        g = math.gcd(scale, *p)
+        polys.append(([c // g for c in p], scale // g))
+    return polys
+
+
+@functools.lru_cache(maxsize=None)
+def _wright_derivatives(top: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """W_k'(u) = num(u) / (den (1-u)^level) as (num, level, den), k = -1..top.
+
+    W_{-1}' = 1 - u, W_0' = u^2/(2(1-u)) and, for k >= 1,
+    W_k' = (P_k'(1-u) + 3k P_k) / (1-u)^{3k+1}.  Derived on first use.
+    """
+    terms = [((1, -1), 0, 1), ((0, 0, 1), 1, 2)]
+    for k, (p, den) in enumerate(_wright_polys(top), start=1):
+        dp = [i * c for i, c in enumerate(p)][1:] + [0]
+        num = tuple(3 * k * c + d - (dp[i - 1] if i else 0)
+                    for i, (c, d) in enumerate(zip(p, dp)))
+        terms.append((num, 3 * k + 1, den))
+    return tuple(terms[:top + 2])
+
+
+def _wright_jet(n: int, width: int) -> list[int]:
+    """Taylor jet of Q(n,1) at x = 1 from Wright's excess series.
+
+    Entry t is c(N, N-1+t), N = n+1, the number of connected graphs with
+    excess k = t-1.  Lagrange inversion of T = z e^T gives
+        c(N, N+k) = N! [z^N] W_k(T) = sum_i h_{k,i} g_i,
+        g_i = (N-1)^{falling i} N^{N-1-i},
+    with h_k the series of W_k'(u).  The factor (1-u)^{-m} of W_k' turns g
+    into its m-fold suffix sums, shared by every k.  They are run from
+    i = N-1 down, so the big integers live at once number O(K^2), not O(N).
+    """
+    N = n + 1
+    terms = _wright_derivatives(width - 2)
+    levels = terms[-1][1]
+    low = min(N, max(len(num) for num, _, _ in terms))
+    sums = [0] * (levels + 1)  # sums[m]: m-fold suffix sum of g at i
+    at = [None] * low          # at[j]: sums at i = j
+    g = math.factorial(N - 1)
+    for i in range(N - 1, -1, -1):
+        sums[0] = g
+        for m in range(1, levels + 1):
+            sums[m] += sums[m - 1]
+        if i < low:
+            at[i] = sums[:]
+        if i:
+            g = g * N // (N - i)
+    return [sum(c * at[j][m] for j, c in enumerate(num[:N])) // den
+            for num, m, den in terms]
 
 
 def _compose(left: list[list[int]], right: list[list[int]], b: int,
@@ -275,12 +357,15 @@ def _shift_jets(classical: list[list[int]], d: int, top: int,
 
 
 def jet_many(targets: Iterable[tuple[int, int]], order: int) -> dict[tuple[int, int], JetAtOne]:
-    """K-jets at x = 1 for every requested state, from one shared pass.
+    """K-jets at x = 1 for every requested state.
 
-    One Kreweras pass gives every Q(m,1) up to the longest target.  The
-    requested shifts are then reached in ascending order, each from the
-    one before by the addition law (see _compose): a step of one shift is
-    one level of the shift decomposition and a longer step costs O(log gap)
+    At a = 1 each requested length is one Wright sum (see _wright_jet),
+    unless no length exceeds the 3K-2 that deriving Wright's polynomials
+    would convolve to; then the convolution itself is the cheaper path.
+    Larger shifts need Q(m,1) at every m up to the longest length asked for
+    at a > 1; they are then reached in ascending order, each from the one
+    before by the addition law (see _compose): a step of one shift is one
+    level of the shift decomposition and a longer step costs O(log gap)
     levels.  Per the Taylor-basis note in the module docstring, harvested
     entries are rescaled by i! to derivative values.
     """
@@ -306,13 +391,21 @@ def jet_many(targets: Iterable[tuple[int, int]], order: int) -> dict[tuple[int, 
         for a in reversed(shifts):
             longest = max(longest, *by_shift[a])
             need[a] = longest
-        classical = level = _classical_jets(longest, width)
-        at = 1
-        for a in shifts:
-            if a > at:
-                gap = _shift_jets(classical, a - at, need[a], width)
-                level = _compose(gap, level, at, need[a], width)
-                at = a
+        if longest <= 3 * order - 2:
+            # within the seed size of _wright_polys the convolution is cheaper
+            at_one = _classical_jets(longest, width).__getitem__
+        else:
+            at_one = functools.partial(_wright_jet, width=width)
+        for n in by_shift.get(1, ()):
+            harvest[(n, 1)] = at_one(n)
+        wide = [a for a in shifts if a > 1]
+        # the addition law needs Q(m,1) at every m <= need[wide[0]]
+        classical = [at_one(m) for m in range(need[wide[0]] + 1)] if wide else []
+        level, at = classical, 1
+        for a in wide:
+            gap = _shift_jets(classical, a - at, need[a], width)
+            level = _compose(gap, level, at, need[a], width)
+            at = a
             for n in by_shift[a]:
                 harvest[(n, a)] = level[n]
     fact = [math.factorial(i) for i in range(width)]

@@ -12,7 +12,9 @@ a c_k / sqrt(n) correction that is still 0.2659 (k = 4) to 0.3935 (k = 8) at
 n = 400, which the known fourth-moment identity gives exactly for k = 4.  The
 test applies the 0.25 threshold to the Richardson-extrapolated ratio
 2 R_k(400) - R_k(100) instead; it cancels the n^(-1/2) term and leaves an
-O(1/n) residual.  Both sets of deviations are printed; see README "Known red".
+O(1/n) residual.  The literal clause itself is asserted at n = 1600, where
+the correction has halved (0.0456 for k = 1 to 0.2228 for k = 8).  All three
+sets of deviations are printed; see README "Known red".
 """
 
 import math
@@ -180,8 +182,9 @@ def test_criterion_7_airy_pinning():
 def test_criterion_8_asymptotic_convergence():
     t0 = time.perf_counter()
     rep = asymptotic_check(8, [100, 400])
+    far = asymptotic_check(8, [1600])
     elapsed = time.perf_counter() - t0
-    devs = {(r.k, r.n): Decimal(r.deviation) for r in rep.rows}
+    devs = {(r.k, r.n): Decimal(r.deviation) for r in rep.rows + far.rows}
     ratios = {(r.k, r.n): Decimal(r.ratio) for r in rep.rows}
     decreasing_ok = all(devs[(k, 400)] < devs[(k, 100)] for k in range(1, 9))
     # n^(-1/2) scale spot check (module invariant): dev(4n)/dev(n) in (0.3, 0.8)
@@ -194,12 +197,18 @@ def test_criterion_8_asymptotic_convergence():
     extrapolated = {k: f"{d:.4f}" for k, d in limit_devs.items()}
     limit_bad = {k: extrapolated[k] for k, d in limit_devs.items()
                  if not d < Decimal("0.25")}
-    ok = decreasing_ok and scale_ok and runtime_ok and not limit_bad
+    # the literal clause, where the c_k/sqrt(n) term has shrunk below 0.25
+    literal = {k: f"{devs[(k, 1600)]:.4f}" for k in range(1, 9)}
+    literal_bad = {k: literal[k] for k in range(1, 9)
+                   if not devs[(k, 1600)] < Decimal("0.25")}
+    ok = (decreasing_ok and scale_ok and runtime_ok and not limit_bad
+          and not literal_bad)
     raw = {k: f"{devs[(k, 400)]:.4f}" for k in range(1, 9)}
     report(8, "asymptotic convergence k<=8", ok,
-           f"{elapsed:.0f}s; decreasing={decreasing_ok}; "
+           f"{elapsed:.1f}s; decreasing={decreasing_ok}; "
            f"raw deviations at n=400: {raw}; "
-           f"extrapolated deviations 2R(400)-R(100): {extrapolated}")
+           f"extrapolated deviations 2R(400)-R(100): {extrapolated}; "
+           f"raw deviations at n=1600: {literal}")
     assert decreasing_ok
     assert scale_ok
     assert runtime_ok
@@ -209,6 +218,10 @@ def test_criterion_8_asymptotic_convergence():
         f"{limit_bad}, so e_k or E_k is mis-normalised. The raw n=400 "
         "deviation is not bounded here because its c_k/sqrt(n) term is "
         "still 0.27-0.39 for k>=4; see README \"Known red\"."
+    )
+    assert not literal_bad, (
+        "|E_k(1600,1)/(e_k 1600^(3k/2)) - 1| must be below 0.25 for k=1..8, "
+        f"but is not for {literal_bad}"
     )
 
 

@@ -1,10 +1,14 @@
 """Tests for the command-line surface: formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parkstat.cli import main
 
@@ -187,8 +191,10 @@ def test_scaled_hist_at_shift_zero_is_usage_error():
     ["verify", "--suite", "oracle", "--budget", "1000", "--threads", "-2"],
     ["verify", "--suite", "oracle", "--budget", "0"],
     ["verify", "--suite", "oracle", "--budget", "-1"],
+    ["fit", "--k", "3", "--n-max", "0"],
+    ["fit", "--k", "3", "--n-max", "-5"],
 ], ids=["precision 0", "precision -1", "threads 0", "threads -2", "budget 0",
-        "budget -1"])
+        "budget -1", "n-max 0", "n-max -5"])
 def test_exit_code_usage_on_flag_below_one(argv):
     proc = subprocess.run([sys.executable, "-m", "parkstat.cli", *argv],
                           capture_output=True, text=True, timeout=120)
@@ -196,6 +202,51 @@ def test_exit_code_usage_on_flag_below_one(argv):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "must be >= 1" in proc.stderr
+
+
+@st.composite
+def small_argvs(draw):
+    """Small argvs of every command, valid or not."""
+    command = draw(st.sampled_from(
+        ["count", "genfun", "moments", "fit", "airy", "hist", "verify"]))
+    small = st.integers(-2, 6)
+    k = draw(small)
+    argv = [command, "--n", str(draw(st.integers(-2, 25))),
+            "--a", str(draw(small)), "--k", str(k),
+            "--format", draw(st.sampled_from(["csv", "json", "text"]))]
+    if draw(st.booleans()):
+        grid = draw(st.lists(st.integers(-2, 30), min_size=1, max_size=3))
+        argv += ["--grid", ",".join(map(str, grid))]
+    if draw(st.booleans()):
+        argv += ["--budget", str(draw(st.integers(-2, 10**5)))]
+    if command == "count" and draw(st.booleans()):
+        argv.append("--symbolic")
+    if command == "fit":
+        # two-symbol fits past k = 4 take seconds each
+        if k <= 4 and draw(st.booleans()):
+            argv.append("--general-a")
+        if draw(st.booleans()):
+            argv += ["--n-max", str(draw(st.integers(-2, 30)))]
+    if command == "hist" and draw(st.booleans()):
+        argv.append("--scaled")
+    if command == "verify":
+        argv += ["--suite", draw(st.sampled_from(["closed-form", "oracle", "all"]))]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=small_argvs())
+def test_cli_fuzz_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects before main returns
+            code = exc.code
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
 
 
 def test_out_to_missing_directory(tmp_path, capsys):

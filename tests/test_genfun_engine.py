@@ -1,21 +1,25 @@
 """Tests for area/sum generating polynomials and the jet engine."""
 
+import functools
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parkstat import backend
+from parkstat import backend, genfun_engine
 from parkstat.airy import asymptotic_check
 from parkstat.conjecture_fit import fit_moment
 from parkstat.cli import main as cli_main
 from parkstat.counting_engine import count, verify_closed_form
 from parkstat.errors import BudgetExceeded
 from parkstat.exactalg import PolyX
-from parkstat.genfun_engine import (_sweep, area_genfun, area_genfun_many,
-                                    jet_at_one, jet_many, sum_genfun)
+from parkstat.genfun_engine import (_classical_jets, _shift_jets, _sweep,
+                                    _wright_polys, area_genfun,
+                                    area_genfun_many, jet_at_one, jet_many,
+                                    sum_genfun)
 from parkstat.moment_lab import moment_table
 from parkstat.parking_core import brute_histogram, max_area
 
@@ -129,6 +133,65 @@ def test_convolution_matches_triangle(targets, order):
     assert {state: jet.values for state, jet in got.items()} == want
 
 
+def test_wright_polynomials_pinned():
+    # Wright (1977): P_1 = T^4 (6 - T)/24, P_2 = T^4 (2 + 28T - 23T^2 + 9T^3 - T^4)/48
+    p1, p2 = ([Fraction(c, den) for c in coeffs]
+              for coeffs, den in _wright_polys(2))
+    assert p1 == [0] * 4 + [Fraction(c, 24) for c in (6, -1)]
+    assert p2 == [0] * 4 + [Fraction(c, 48) for c in (2, 28, -23, 9, -1)]
+    for k, (coeffs, den) in enumerate(_wright_polys(7), start=1):
+        assert len(coeffs) == 3 * k + 3 and coeffs[-1] != 0
+        assert math.gcd(den, *coeffs) == 1
+
+
+def derivative_values(taylor):
+    return tuple(t * math.factorial(i) for i, t in enumerate(taylor))
+
+
+def test_wright_jets_match_convolution():
+    ref = _classical_jets(400, 9)
+    lengths = list(range(0, 121)) + [400]
+    got = jet_many([(n, 1) for n in lengths], 8)
+    for n in lengths:
+        assert got[(n, 1)].values == derivative_values(ref[n]), n
+
+
+@pytest.mark.parametrize("order", range(0, 7))
+def test_shifted_jets_match_convolution_reference(order):
+    width = order + 1
+    classical = _classical_jets(60, width)
+    targets = [(n, a) for n in range(0, 61) for a in range(0, 11)]
+    got = jet_many(targets, order)
+    for a in range(1, 11):
+        level = _shift_jets(classical, a, 60, width)
+        for n in range(0, 61):
+            assert got[(n, a)].values == derivative_values(level[n]), (n, a)
+
+
+def test_short_lengths_at_high_order_skip_the_seed(monkeypatch):
+    # Wright's P_1..P_{K-1} need the convolution at n = 3K-2, which costs
+    # more than convolving to every length at or below it
+    def refuse(top):
+        raise AssertionError("no length here exceeds the seed size")
+
+    monkeypatch.setattr(genfun_engine, "_wright_polys", refuse)
+    for n, a, order in [(3, 1, 50), (10, 1, 30), (5, 3, 30)]:
+        expected = area_genfun(n, a).poly.derivatives_at_one(order)
+        assert jet_at_one(n, a, order).values == expected
+
+
+@functools.lru_cache(maxsize=None)
+def convolution_jets(n_max, width):
+    return _classical_jets(n_max, width)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 150), order=st.integers(0, 8))
+def test_wright_jets_equal_convolution_property(n, order):
+    expected = derivative_values(convolution_jets(150, 9)[n][:order + 1])
+    assert jet_at_one(n, 1, order).values == expected
+
+
 def _pmul(p: PolyX, q: PolyX) -> PolyX:
     out = [0] * (len(p.coeffs) + len(q.coeffs))
     for i, c in enumerate(p.coeffs):
@@ -169,13 +232,26 @@ def test_production_paths_avoid_the_triangle(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("the triangle kernels are test-only cross-checks")
 
+    convolution = genfun_engine._classical_jets
+
+    def seed_only(n_max, width):
+        # Wright's P_1..P_{K-1} need jets at n <= 3K-2, K = width - 1
+        assert n_max <= 3 * (width - 1) - 2, "the convolution is a test reference"
+        return convolution(n_max, width)
+
     monkeypatch.setattr(backend.kernels, "jet_step", refuse)
     monkeypatch.setattr(backend.kernels, "count_step", refuse)
+    monkeypatch.setattr(genfun_engine, "_classical_jets", seed_only)
+    genfun_engine._wright_derivatives.cache_clear()
     assert jet_many([(12, 1), (7, 3)], 4)[(12, 1)].values[0] == 13 ** 11
+    assert jet_many([(400, 1)], 8)[(400, 1)].values[0] == 401 ** 399
     assert moment_table(30, 2, 4).factorial[0] > 0
+    assert moment_table(100, 1, 8).factorial[0] > 0
     assert len(asymptotic_check(3, [10, 20]).rows) == 6
+    assert len(asymptotic_check(8, [100, 400]).rows) == 16
     assert fit_moment(2).status == "verified"
     assert count(30, 4) == 4 * 34 ** 29
+    assert count(300) == 301 ** 299
     assert verify_closed_form(10, 11).ok
     assert cli_main(["count", "--n", "50"]) == 0
     assert capsys.readouterr().out == f"{51 ** 49}\n"
