@@ -8,7 +8,8 @@ term of the fundamental recurrence to the left gives
 
 count takes p(n, a) = Q(n,a)(1) from the jet engine at order 0, i.e. at
 a = 1 from Cayley's formula by Lagrange inversion (the order-0 Wright sum)
-and above it from the Kung-Yan addition law (see genfun_engine).
+and above it from one run of the exponential-formula convolution over those
+counts (see genfun_engine).
 The anti-diagonal sweep of the recurrence above (kernels.count_step) is kept
 only as the test-time cross-check of those counts, like kernels.jet_step.
 count_symbolic runs the recurrence with a symbolic shift, telescoping the

@@ -31,7 +31,6 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-Rat = Fraction
 RatLike = Union[int, Fraction]
 
 
@@ -272,11 +271,6 @@ class SymPoly:
         i = self.symbols.index(symbol)
         return max(e[i] for e in self.terms)
 
-    def total_degree(self) -> int | None:
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
-
     def coeff_of(self, exps: tuple[int, ...]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 
@@ -343,9 +337,6 @@ class LinSys:
         if len(coeffs) != self.width:
             raise ValueError(f"row width {len(coeffs)} != {self.width}")
         self.rows.append(([Fraction(c) for c in coeffs], Fraction(rhs)))
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
 
 @dataclass(frozen=True)

@@ -19,28 +19,40 @@ Two engines compute Q:
   * jet_at_one carries only (Q(1), Q'(1), ..., Q^(K)(1)) per state (the
     performance path; this is what makes n in the hundreds cheap).
 
-The jets use neither the triangle nor, past a small seed, the Kreweras
-convolution (area enumerator of parking functions = inversion enumerator
-of trees),
+The jets never use the triangle.  Every shift follows from one law.  Write
+E_a(z) = sum_m Q(m,a) z^m/m!.  The shift decomposition of Kung & Yan
+("Goncarov polynomials and parking functions", JCTA 2003) gives
+E_a(z) = prod_{j<a} E_1(x^j z).  The Kreweras convolution (area enumerator
+of parking functions = inversion enumerator of trees, Period. Math.
+Hungar. 1980) is the statement that
+log E_1(z) = sum_m [m]_x Q(m-1,1) z^m/m!, with [e]_x = 1 + x + ... +
+x^{e-1}.  Summing it over the a factors, the x^j turn [m]_x into [am]_x:
 
-    Q(m,1) = sum_{i<m} C(m-1,i) [i+1]_x Q(i,1) Q(m-1-i,1).
+    log E_a(z) = sum_m [am]_x Q(m-1,1) z^m/m!,
 
-By Mallows-Riordan and Kreweras, Taylor coefficient t of Q(n,1) at x = 1
-is c(n+1, n+t), the number of connected graphs on n+1 labelled vertices
-with excess t-1 (Knuth, "Linear probing and graphs", Algorithmica 1998).
-Wright (J. Graph Theory 1977) gives their generating functions as
-W_k = P_k(T)/(1-T)^{3k} in the tree function T, so Lagrange inversion
-turns each count into one sum over O(n) terms, O(nK) big-by-small work
-per length (see _wright_jet); the order-0 term is Cayley's formula.  The
-polynomials P_k are read off exact jets at n <= 3K-2, which the
-convolution computes on first use at each order K (_wright_polys).  Larger shifts
-follow from the Kung-Yan shift decomposition and the addition law it
-implies (see _compose), fed with the Wright jets of every m <= n.  Jets are
-held in the Taylor basis T_i = Q^(i)(1)/i!, where products are truncated
-Leibniz convolutions and the monomial x^e is the binomial jet C(e,t); they
-are converted back to derivative values on harvest.  The convolution
-(_classical_jets) and the triangle's jet kernel (kernels.jet_step) are the
-test-time cross-checks of this engine.
+and differentiating in z gives one recurrence for every shift (see
+_convolution_jets),
+
+    Q(m,a) = sum_{i<m} C(m-1,i) [a(i+1)]_x Q(i,1) Q(m-1-i,a),
+
+which at a = 1 is the Kreweras convolution itself.  In the Taylor basis
+below, [e]_x is the jet C(e, t+1).
+
+At a = 1 the convolution only runs up to a small seed.  By Mallows-Riordan
+and Kreweras, Taylor coefficient t of Q(n,1) at x = 1 is c(n+1, n+t), the
+number of connected graphs on n+1 labelled vertices with excess t-1 (Knuth,
+"Linear probing and graphs", Algorithmica 1998).  Wright (J. Graph Theory
+1977) gives their generating functions as W_k = P_k(T)/(1-T)^{3k} in the
+tree function T, so Lagrange inversion turns each count into one sum over
+O(n) terms, O(nK) big-by-small work per length (see _wright_jet); the
+order-0 term is Cayley's formula.  The polynomials P_k are read off exact
+jets at n <= 3K-2, which the convolution computes on first use at each
+order K (_wright_polys).  Each shift a > 1 is one run of the convolution,
+fed with the Wright jets of every m < n.  Jets are held in the Taylor basis
+T_i = Q^(i)(1)/i!, where products are truncated Leibniz convolutions; they
+are converted back to derivative values on harvest.  The convolution at
+a = 1 and the triangle's jet kernel (kernels.jet_step) are the test-time
+cross-checks of this engine.
 """
 
 from __future__ import annotations
@@ -213,29 +225,29 @@ def _add_scaled(acc: list[int], c: int, term: list[int]) -> None:
         acc[t] += c * v
 
 
-def _classical_jets(n_max: int, width: int) -> list[list[int]]:
-    """Taylor jets of Q(m,1) for m = 0..n_max, by the Kreweras convolution.
+def _convolution_jets(n_max: int, a: int, width: int,
+                      at_one: list[list[int]] | None) -> list[list[int]]:
+    """Taylor jets of Q(m,a) for m = 0..n_max, by the exponential formula.
 
-    Q(m,1) = sum_{i<m} C(m-1,i) [i+1]_x Q(i,1) Q(m-1-i,1), where
-    [i+1]_x = 1 + x + ... + x^i has Taylor coefficients C(i+1, t+1).  The
-    terms i and m-1-i share the product Q(i,1) Q(m-1-i,1) and the weight
-    C(m-1,i), so each pair is multiplied out once.  Production runs it only
-    up to n = 3K-2, the seed size of _wright_polys; the tests run it as the
-    reference.
+    Q(m,a) = sum_{i<m} C(m-1,i) [a(i+1)]_x Q(i,1) Q(m-1-i,a), with the
+    bracket jet [e]_x = C(e, t+1) (see the module docstring).  at_one holds
+    the jets of Q(i,1) for i < n_max; None feeds the recurrence on its own
+    output, which is valid at a = 1 only.  Each lam[i] = [a(i+1)]_x Q(i,1)
+    is formed once, so each term is one jet product.  Production runs it at
+    a = 1 only up to n = 3K-2, the seed size of _wright_polys; the tests run
+    it further as the reference.
     """
     binom = binomial_rows(n_max)
-    brackets = [[binom[i + 1][t + 1] if t <= i else 0 for t in range(width)]
-                for i in range(n_max)]
     jets = [[1] + [0] * (width - 1)]
+    ones = jets if at_one is None else at_one
+    lam = []
     for m in range(1, n_max + 1):
+        bracket = [math.comb(a * m, t + 1) for t in range(width)]
+        lam.append(_jet_mul(bracket, ones[m - 1], width))
         row = binom[m - 1]
         acc = [0] * width
-        for i in range((m - 1) // 2 + 1):
-            j = m - 1 - i
-            weight = brackets[i] if i == j else \
-                [x + y for x, y in zip(brackets[i], brackets[j])]
-            pair = _jet_mul(jets[i], jets[j], width)
-            _add_scaled(acc, row[i], _jet_mul(weight, pair, width))
+        for i in range(m):
+            _add_scaled(acc, row[i], _jet_mul(lam[i], jets[m - 1 - i], width))
         jets.append(acc)
     return jets
 
@@ -248,7 +260,7 @@ def _wright_polys(top: int) -> list[tuple[list[int], int]]:
     coefficient k+1 of Q(N-1,1), from one convolution at n <= 3 top + 1:
         d! [T^d] W_k(T e^{-T}) = sum_N C(d,N) c(N,N+k) (-N)^{d-N}.
     """
-    seed = _classical_jets(3 * top + 1, top + 2) if top >= 1 else []
+    seed = _convolution_jets(3 * top + 1, 1, top + 2, None) if top >= 1 else []
     polys = []
     for k in range(1, top + 1):
         deg = 3 * k + 2
@@ -310,64 +322,17 @@ def _wright_jet(n: int, width: int) -> list[int]:
             for num, m, den in terms]
 
 
-def _compose(left: list[list[int]], right: list[list[int]], b: int,
-             top: int, width: int) -> list[list[int]]:
-    """Taylor jets of Q(m,a+b), m = 0..top, from left = Q(.,a), right = Q(.,b).
-
-    Addition law: Q(m,a+b) = sum_k C(m,k) x^{kb} Q(k,a) Q(m-k,b).  At a = 1
-    it is the shift decomposition of Kung & Yan ("Goncarov polynomials and
-    parking functions", JCTA 2003),
-
-        Q(m,b+1) = sum_k C(m,k) x^{kb} Q(k,1) Q(m-k,b),
-
-    which says that E_a(z) = sum_m Q(m,a) z^m/m! satisfies
-    E_a(z) = E_1(x^{a-1} z) E_{a-1}(z); hence E_a(z) = prod_{j<a} E_1(x^j z)
-    and E_{a+b}(z) = E_a(x^b z) E_b(z), the law above.  At x = 1 it is
-    Abel's identity.  In the Taylor basis x^e is the binomial jet C(e,t).
-    The exponent kb is pinned by the tests against the triangle recurrence
-    and against area_genfun.
-    """
-    shifted = [_jet_mul([math.comb(k * b, t) for t in range(width)], left[k], width)
-               for k in range(top + 1)]
-    level = [right[0]]
-    for m in range(1, top + 1):
-        # the k = 0 and k = m terms multiply by the unit jet
-        acc = [x + y for x, y in zip(right[m], shifted[m])]
-        for k in range(1, m):
-            _add_scaled(acc, math.comb(m, k), _jet_mul(shifted[k], right[m - k], width))
-        level.append(acc)
-    return level
-
-
-def _shift_jets(classical: list[list[int]], d: int, top: int,
-                width: int) -> list[list[int]]:
-    """Taylor jets of Q(m,d), m = 0..top, by binary powering of _compose."""
-    base, base_shift = classical[:top + 1], 1
-    result, result_shift = None, 0
-    while True:
-        if d & 1:
-            result = base if result is None else \
-                _compose(base, result, result_shift, top, width)
-            result_shift += base_shift
-        d >>= 1
-        if not d:
-            return result
-        base = _compose(base, base, base_shift, top, width)
-        base_shift *= 2
-
-
 def jet_many(targets: Iterable[tuple[int, int]], order: int) -> dict[tuple[int, int], JetAtOne]:
     """K-jets at x = 1 for every requested state.
 
     At a = 1 each requested length is one Wright sum (see _wright_jet),
     unless no length exceeds the 3K-2 that deriving Wright's polynomials
     would convolve to; then the convolution itself is the cheaper path.
-    Larger shifts need Q(m,1) at every m up to the longest length asked for
-    at a > 1; they are then reached in ascending order, each from the one
-    before by the addition law (see _compose): a step of one shift is one
-    level of the shift decomposition and a longer step costs O(log gap)
-    levels.  Per the Taylor-basis note in the module docstring, harvested
-    entries are rescaled by i! to derivative values.
+    Every shift a > 1 is one run of the convolution (see _convolution_jets)
+    up to the longest length asked for at that shift, fed with the jets of
+    Q(i,1) below it; shifts do not depend on each other.  Per the
+    Taylor-basis note in the module docstring, harvested entries are
+    rescaled by i! to derivative values.
     """
     if order < 0:
         raise ValueError("need order >= 0")
@@ -385,29 +350,20 @@ def jet_many(targets: Iterable[tuple[int, int]], order: int) -> dict[tuple[int, 
         else:
             by_shift.setdefault(a, []).append(n)
     if by_shift:
-        shifts = sorted(by_shift)
-        # need[a]: the longest length asked for at shift a or above
-        need, longest = {}, 0
-        for a in reversed(shifts):
-            longest = max(longest, *by_shift[a])
-            need[a] = longest
+        longest = max(max(ns) for ns in by_shift.values())
         if longest <= 3 * order - 2:
             # within the seed size of _wright_polys the convolution is cheaper
-            at_one = _classical_jets(longest, width).__getitem__
+            at_one = _convolution_jets(longest, 1, width, None).__getitem__
         else:
             at_one = functools.partial(_wright_jet, width=width)
-        for n in by_shift.get(1, ()):
-            harvest[(n, 1)] = at_one(n)
-        wide = [a for a in shifts if a > 1]
-        # the addition law needs Q(m,1) at every m <= need[wide[0]]
-        classical = [at_one(m) for m in range(need[wide[0]] + 1)] if wide else []
-        level, at = classical, 1
-        for a in wide:
-            gap = _shift_jets(classical, a - at, need[a], width)
-            level = _compose(gap, level, at, need[a], width)
-            at = a
-            for n in by_shift[a]:
-                harvest[(n, a)] = level[n]
+        # each a > 1 run reads Q(i,1) below its longest length
+        wide = max((max(ns) for a, ns in by_shift.items() if a > 1), default=0)
+        ones = [at_one(m) for m in range(wide)]
+        for a, ns in by_shift.items():
+            jet = at_one if a == 1 else \
+                _convolution_jets(max(ns), a, width, ones).__getitem__
+            for n in ns:
+                harvest[(n, a)] = jet(n)
     fact = [math.factorial(i) for i in range(width)]
     return {
         (n, a): JetAtOne(n=n, a=a, order=order,

@@ -16,10 +16,9 @@ from parkstat.cli import main as cli_main
 from parkstat.counting_engine import count, verify_closed_form
 from parkstat.errors import BudgetExceeded
 from parkstat.exactalg import PolyX
-from parkstat.genfun_engine import (_classical_jets, _shift_jets, _sweep,
-                                    _wright_polys, area_genfun,
-                                    area_genfun_many, jet_at_one, jet_many,
-                                    sum_genfun)
+from parkstat.genfun_engine import (_convolution_jets, _sweep, _wright_polys,
+                                    area_genfun, area_genfun_many,
+                                    jet_at_one, jet_many, sum_genfun)
 from parkstat.moment_lab import moment_table
 from parkstat.parking_core import brute_histogram, max_area
 
@@ -149,23 +148,27 @@ def derivative_values(taylor):
 
 
 def test_wright_jets_match_convolution():
-    ref = _classical_jets(400, 9)
+    ref = _convolution_jets(400, 1, 9, None)
     lengths = list(range(0, 121)) + [400]
     got = jet_many([(n, 1) for n in lengths], 8)
     for n in lengths:
         assert got[(n, 1)].values == derivative_values(ref[n]), n
 
 
+SHIFT_GRID = [(n, a) for n in range(0, 61) for a in range(0, 11)]
+
+
+@functools.lru_cache(maxsize=None)
+def shift_grid_reference():
+    return triangle_jets(SHIFT_GRID, 6)
+
+
 @pytest.mark.parametrize("order", range(0, 7))
 def test_shifted_jets_match_convolution_reference(order):
-    width = order + 1
-    classical = _classical_jets(60, width)
-    targets = [(n, a) for n in range(0, 61) for a in range(0, 11)]
-    got = jet_many(targets, order)
-    for a in range(1, 11):
-        level = _shift_jets(classical, a, 60, width)
-        for n in range(0, 61):
-            assert got[(n, a)].values == derivative_values(level[n]), (n, a)
+    want = shift_grid_reference()
+    got = jet_many(SHIFT_GRID, order)
+    for state in SHIFT_GRID:
+        assert got[state].values == want[state][:order + 1], state
 
 
 def test_short_lengths_at_high_order_skip_the_seed(monkeypatch):
@@ -182,7 +185,7 @@ def test_short_lengths_at_high_order_skip_the_seed(monkeypatch):
 
 @functools.lru_cache(maxsize=None)
 def convolution_jets(n_max, width):
-    return _classical_jets(n_max, width)
+    return _convolution_jets(n_max, 1, width, None)
 
 
 @settings(max_examples=60, deadline=None)
@@ -200,25 +203,20 @@ def _pmul(p: PolyX, q: PolyX) -> PolyX:
     return PolyX(out)
 
 
-def test_kreweras_and_addition_laws_as_polynomials():
-    q = {(n, a): area_genfun(n, a).poly for n in range(0, 11) for a in range(0, 8)}
-    for n in range(1, 11):
-        # Q(n,1) = sum_i C(n-1,i) [i+1]_x Q(i,1) Q(n-1-i,1)
-        rhs = PolyX.zero()
-        for i in range(n):
-            term = _pmul(PolyX([1] * (i + 1)), _pmul(q[(i, 1)], q[(n - 1 - i, 1)]))
-            rhs = rhs.add_scaled(term, math.comb(n - 1, i))
-        assert rhs == q[(n, 1)]
-        for a in range(2, 8):
-            # addition law Q(n,a) = sum_k C(n,k) x^{kb} Q(k,a-b) Q(n-k,b);
-            # b = a-1 is the shift decomposition
-            for b in range(1, a):
-                rhs = PolyX.zero()
-                for k in range(n + 1):
-                    term = _pmul(PolyX.monomial(k * b),
-                                 _pmul(q[(k, a - b)], q[(n - k, b)]))
-                    rhs = rhs.add_scaled(term, math.comb(n, k))
-                assert rhs == q[(n, a)]
+def test_exponential_formula_law_as_polynomials():
+    # Q(n,a) = sum_i C(n-1,i) [a(i+1)]_x Q(i,1) Q(n-1-i,a); at a = 1 it is
+    # the Kreweras convolution
+    grid = [(10, a) for a in range(1, 8)] + [(6, 13), (6, 40)]
+    states = [(n, b) for n_max, a in grid for n in range(n_max + 1) for b in (1, a)]
+    q = {state: gf.poly for state, gf in area_genfun_many(states).items()}
+    for n_max, a in grid:
+        for n in range(1, n_max + 1):
+            rhs = PolyX.zero()
+            for i in range(n):
+                term = _pmul(PolyX([1] * (a * (i + 1))),
+                             _pmul(q[(i, 1)], q[(n - 1 - i, a)]))
+                rhs = rhs.add_scaled(term, math.comb(n - 1, i))
+            assert rhs == q[(n, a)], (n, a)
 
 
 @settings(max_examples=40, deadline=None)
@@ -232,16 +230,18 @@ def test_production_paths_avoid_the_triangle(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("the triangle kernels are test-only cross-checks")
 
-    convolution = genfun_engine._classical_jets
+    convolution = genfun_engine._convolution_jets
 
-    def seed_only(n_max, width):
-        # Wright's P_1..P_{K-1} need jets at n <= 3K-2, K = width - 1
-        assert n_max <= 3 * (width - 1) - 2, "the convolution is a test reference"
-        return convolution(n_max, width)
+    def seed_only(n_max, a, width, at_one):
+        # at a = 1, Wright's P_1..P_{K-1} need jets at n <= 3K-2, K = width - 1,
+        # and no shorter request convolves further; every a > 1 convolves
+        assert a > 1 or n_max <= 3 * (width - 1) - 2, \
+            "the convolution at a = 1 is a test reference"
+        return convolution(n_max, a, width, at_one)
 
     monkeypatch.setattr(backend.kernels, "jet_step", refuse)
     monkeypatch.setattr(backend.kernels, "count_step", refuse)
-    monkeypatch.setattr(genfun_engine, "_classical_jets", seed_only)
+    monkeypatch.setattr(genfun_engine, "_convolution_jets", seed_only)
     genfun_engine._wright_derivatives.cache_clear()
     assert jet_many([(12, 1), (7, 3)], 4)[(12, 1)].values[0] == 13 ** 11
     assert jet_many([(400, 1)], 8)[(400, 1)].values[0] == 401 ** 399
@@ -252,6 +252,7 @@ def test_production_paths_avoid_the_triangle(monkeypatch, capsys):
     assert fit_moment(2).status == "verified"
     assert count(30, 4) == 4 * 34 ** 29
     assert count(300) == 301 ** 299
+    assert count(300, 5) == 5 * 305 ** 299
     assert verify_closed_form(10, 11).ok
     assert cli_main(["count", "--n", "50"]) == 0
     assert capsys.readouterr().out == f"{51 ** 49}\n"
