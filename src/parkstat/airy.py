@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactalg import TwoPiPow, _pi_decimal, rat_str, to_sig_str
 from .genfun_engine import jet_many
@@ -34,8 +34,7 @@ from .genfun_engine import jet_many
 RATIO_DIGITS = 20
 
 
-@dataclass(frozen=True)
-class AiryMoment:
+class AiryMoment(NamedTuple):
     """k-th raw moment of the Airy distribution: value r * (2*pi)^(h/2)."""
 
     k: int
@@ -79,24 +78,21 @@ def airy_moments(order: int) -> list[AiryMoment]:
     return out
 
 
-@dataclass(frozen=True)
-class RatioRow:
+class RatioRow(NamedTuple):
     k: int
     n: int
     ratio: str      # E_k(n,1) / (e_k n^(3k/2)), fixed-precision decimal
     deviation: str  # |ratio - 1|
 
 
-@dataclass(frozen=True)
-class KSummary:
+class KSummary(NamedTuple):
     k: int
     decreasing: bool
     final_deviation: str
     below_threshold: bool
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(NamedTuple):
     order: int
     grid: tuple[int, ...]
     threshold: str

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import airy as airy_mod
 from .conjecture_fit import MomentAnsatz, fit_moment
@@ -28,81 +27,63 @@ EXIT_RESOURCE = 3
 EXIT_VERIFY = 4
 
 
-@dataclass
-class RunConfig:
-    command: str
-    n: int = 0
-    a: int = 1
-    k: int = 2
-    grid: tuple[int, ...] = ()
-    budget: int = 10**7
-    precision: int = 15
-    fmt: str = "text"
-    out: str | None = None
-    symbolic: bool = False
-    scaled: bool = False
-    general_a: bool = False
-    n_max: int | None = None
-    suite: str = "all"
-
-
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(args: argparse.Namespace, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if cfg.out:
+    if args.out:
         try:
-            with open(cfg.out, "w", newline="") as fh:
+            with open(args.out, "w", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
             # reported by main() as a usage error, like any other bad value
-            raise ValueError(f"cannot write --out {cfg.out!r}: {exc.strerror}") from exc
+            raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
 
-def cmd_count(cfg: RunConfig) -> int:
-    if cfg.symbolic:
-        poly = count_symbolic(cfg.n)
-        if cfg.fmt == "json":
-            text = json.dumps({"n": cfg.n, "symbolic": str(poly)})
-        elif cfg.fmt == "csv":
-            text = f"n,polynomial\n{cfg.n},{poly}"
+def cmd_count(args: argparse.Namespace) -> int:
+    if args.symbolic:
+        poly = count_symbolic(args.n)
+        if args.fmt == "json":
+            text = json.dumps({"n": args.n, "symbolic": str(poly)})
+        elif args.fmt == "csv":
+            text = f"n,polynomial\n{args.n},{poly}"
         else:
             text = str(poly)
     else:
-        value = count(cfg.n, cfg.a)
-        if cfg.fmt == "json":
-            text = json.dumps({"n": cfg.n, "a": cfg.a, "count": str(value)})
-        elif cfg.fmt == "csv":
-            text = f"n,a,count\n{cfg.n},{cfg.a},{value}"
+        value = count(args.n, args.a)
+        if args.fmt == "json":
+            text = json.dumps({"n": args.n, "a": args.a, "count": str(value)})
+        elif args.fmt == "csv":
+            text = f"n,a,count\n{args.n},{args.a},{value}"
         else:
             text = str(value)
-    _emit(cfg, text)
+    _emit(args, text)
     return EXIT_OK
 
 
-def cmd_genfun(cfg: RunConfig) -> int:
-    gf = area_genfun(cfg.n, cfg.a, budget=cfg.budget)
-    if cfg.fmt == "json":
+def cmd_genfun(args: argparse.Namespace) -> int:
+    gf = area_genfun(args.n, args.a, budget=args.budget)
+    if args.fmt == "json":
         text = gf.to_json()
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         text = gf.to_csv()
     else:
-        lines = [f"Q({cfg.n},{cfg.a}): {len(gf.poly.coeffs)} area values, "
+        lines = [f"Q({args.n},{args.a}): {len(gf.poly.coeffs)} area values, "
                  f"total {gf.total}"]
         lines += [f"  area {m}: {c}" for m, c in enumerate(gf.poly.coeffs) if c]
         text = "\n".join(lines)
-    _emit(cfg, text)
+    _emit(args, text)
     return EXIT_OK
 
 
-def cmd_moments(cfg: RunConfig) -> int:
-    table = moment_table(cfg.n, cfg.a, cfg.k)
-    if cfg.fmt == "json":
+def cmd_moments(args: argparse.Namespace) -> int:
+    table = moment_table(args.n, args.a, args.k)
+    if args.fmt == "json":
         text = table.to_json()
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         lines = ["j,factorial,raw,central,scaled_central,scaled_var_power"]
-        for j in range(1, cfg.k + 1):
+        for j in range(1, args.k + 1):
             sc = ("," .join((rat_str(table.scaled[j - 1][0]),
                              rat_str(table.scaled[j - 1][1])))
                   if table.scaled is not None else ",")
@@ -111,29 +92,29 @@ def cmd_moments(cfg: RunConfig) -> int:
                          f"{rat_str(table.central[j - 1])},{sc}")
         text = "\n".join(lines)
     else:
-        lines = [f"moments of the area statistic at n={cfg.n}, a={cfg.a}",
+        lines = [f"moments of the area statistic at n={args.n}, a={args.a}",
                  f"  mean     = {rat_str(table.mean)}",
                  f"  variance = {rat_str(table.variance)}"]
-        for j in range(1, cfg.k + 1):
+        for j in range(1, args.k + 1):
             lines.append(f"  E_{j} (factorial) = {rat_str(table.factorial[j - 1])}")
         if table.scaled is None:
             lines.append("  scaled moments undefined (variance = 0)")
         else:
-            for j in range(1, cfg.k + 1):
+            for j in range(1, args.k + 1):
                 c, p = table.scaled[j - 1]
                 lines.append(f"  scaled_{j} = {rat_str(c)} * variance^(-{rat_str(p)})")
         text = "\n".join(lines)
-    _emit(cfg, text)
+    _emit(args, text)
     return EXIT_OK
 
 
-def cmd_fit(cfg: RunConfig) -> int:
-    ansatz = MomentAnsatz.default(cfg.k, cfg.general_a)
-    fit = fit_moment(cfg.k, ansatz=ansatz, general_a=cfg.general_a,
-                     n_max=cfg.n_max)
-    if cfg.fmt == "json":
+def cmd_fit(args: argparse.Namespace) -> int:
+    ansatz = MomentAnsatz.default(args.k, args.general_a)
+    fit = fit_moment(args.k, ansatz=ansatz, general_a=args.general_a,
+                     n_max=args.n_max)
+    if args.fmt == "json":
         text = json.dumps(fit.to_json_obj())
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         lines = ["poly,powers,coeff"]
         for name, poly in (("A", fit.a_poly), ("B", fit.b_poly)):
             keys = sorted(poly.terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
@@ -148,28 +129,28 @@ def cmd_fit(cfg: RunConfig) -> int:
                       f"{len(fit.holdout_verified)} holdout points")
         else:
             text = f"fit failed: {fit.status}, witness {fit.witness}"
-    _emit(cfg, text)
+    _emit(args, text)
     if fit.status != "verified":
-        print(f"fit --k {cfg.k}: status {fit.status}, witness {fit.witness}",
+        print(f"fit --k {args.k}: status {fit.status}, witness {fit.witness}",
               file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
 
 
-def cmd_airy(cfg: RunConfig) -> int:
-    grid = list(cfg.grid) or [50, 100, 200]
-    report = airy_mod.asymptotic_check(cfg.k, grid)
-    if cfg.fmt == "json":
+def cmd_airy(args: argparse.Namespace) -> int:
+    grid = list(args.grid) or [50, 100, 200]
+    report = airy_mod.asymptotic_check(args.k, grid)
+    if args.fmt == "json":
         text = report.to_json()
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         text = report.to_csv()
     else:
-        lines = [f"Airy moment convergence, k <= {cfg.k}, grid {grid}"]
+        lines = [f"Airy moment convergence, k <= {args.k}, grid {grid}"]
         for s in report.per_k:
             lines.append(f"  k={s.k}: final deviation {s.final_deviation}, "
                          f"decreasing={s.decreasing}, below_threshold={s.below_threshold}")
         text = "\n".join(lines)
-    _emit(cfg, text)
+    _emit(args, text)
     if not report.ok:
         bad = [s.k for s in report.per_k
                if not (s.decreasing and s.below_threshold)]
@@ -178,47 +159,47 @@ def cmd_airy(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_hist(cfg: RunConfig) -> int:
-    if cfg.scaled:
-        hist = scaled_histogram(cfg.n, cfg.a, precision=cfg.precision,
-                                budget=cfg.budget)
-        if cfg.fmt == "json":
+def cmd_hist(args: argparse.Namespace) -> int:
+    if args.scaled:
+        hist = scaled_histogram(args.n, args.a, precision=args.precision,
+                                budget=args.budget)
+        if args.fmt == "json":
             text = hist.to_json()
-        elif cfg.fmt == "csv":
+        elif args.fmt == "csv":
             text = hist.to_csv()
         else:
-            lines = [f"scaled area histogram at n={cfg.n}, a={cfg.a}: "
+            lines = [f"scaled area histogram at n={args.n}, a={args.a}: "
                      f"{len(hist.rows)} rows, total {hist.total}",
                      f"  mean {rat_str(hist.mean)}, variance {rat_str(hist.variance)}"]
             text = "\n".join(lines)
     else:
-        gf = area_genfun(cfg.n, cfg.a, budget=cfg.budget)
-        if cfg.fmt == "json":
+        gf = area_genfun(args.n, args.a, budget=args.budget)
+        if args.fmt == "json":
             text = gf.to_json()
-        elif cfg.fmt == "csv":
+        elif args.fmt == "csv":
             text = gf.to_csv()
         else:
-            text = (f"area histogram at n={cfg.n}, a={cfg.a}: "
+            text = (f"area histogram at n={args.n}, a={args.a}: "
                     f"{len([c for c in gf.poly.coeffs if c])} rows, "
                     f"total {gf.total}")
-    _emit(cfg, text)
+    _emit(args, text)
     return EXIT_OK
 
 
-def _verify_closed_form_suite(cfg: RunConfig) -> list[tuple[str, bool, str]]:
-    n_max = cfg.n if cfg.n else 10
-    a_max = cfg.a if cfg.a != 1 else n_max + 1
+def _verify_closed_form_suite(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
+    n_max = args.n if args.n else 10
+    a_max = args.a if args.a != 1 else n_max + 1
     report = verify_closed_form(n_max, a_max)
     return [("closed-form", report.ok, report.describe())]
 
 
-def _verify_oracle_suite(cfg: RunConfig) -> list[tuple[str, bool, str]]:
-    pairs = oracle_pairs(cfg.budget)
+def _verify_oracle_suite(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
+    pairs = oracle_pairs(args.budget)
     genfuns = area_genfun_many(pairs)
     checks = []
     bad = []
     for n, a in pairs:
-        hist = brute_histogram(n, a, budget=cfg.budget)
+        hist = brute_histogram(n, a, budget=args.budget)
         gf = genfuns[(n, a)]
         expected = {m: c for m, c in enumerate(gf.poly.coeffs) if c}
         if hist.counts != expected:
@@ -230,20 +211,20 @@ def _verify_oracle_suite(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     return checks
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     checks: list[tuple[str, bool, str]] = []
-    if cfg.suite in ("closed-form", "all"):
-        checks += _verify_closed_form_suite(cfg)
-    if cfg.suite in ("oracle", "all"):
-        checks += _verify_oracle_suite(cfg)
+    if args.suite in ("closed-form", "all"):
+        checks += _verify_closed_form_suite(args)
+    if args.suite in ("oracle", "all"):
+        checks += _verify_oracle_suite(args)
     ok = all(c[1] for c in checks)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         text = json.dumps({
-            "suite": cfg.suite,
+            "suite": args.suite,
             "ok": ok,
             "checks": [{"name": n, "ok": o, "detail": d} for n, o, d in checks],
         })
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         lines = ["check,ok,detail"]
         lines += [f"{n},{str(o).lower()},\"{d}\"" for n, o, d in checks]
         text = "\n".join(lines)
@@ -251,7 +232,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         lines = [f"{'PASS' if o else 'FAIL'} {n}: {d}" for n, o, d in checks]
         lines.append("all checks passed" if ok else "VERIFICATION FAILED")
         text = "\n".join(lines)
-    _emit(cfg, text)
+    _emit(args, text)
     if not ok:
         failing = ", ".join(n for n, o, _ in checks if not o)
         print(f"verify: failing invariants: {failing}", file=sys.stderr)
@@ -324,36 +305,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    grid: tuple[int, ...] = ()
-    if args.grid:
-        try:
-            grid = tuple(int(x) for x in args.grid.split(","))
-        except ValueError:
-            print(f"invalid --grid value: {args.grid!r}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
+def _check_args(args: argparse.Namespace) -> None:
+    """Parse --grid into a tuple in place; reject values below 1 (exit 2)."""
+    try:
+        args.grid = tuple(int(x) for x in args.grid.split(",")) if args.grid else ()
+    except ValueError:
+        print(f"invalid --grid value: {args.grid!r}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     n_max = getattr(args, "n_max", None)
     for flag, value in (("--precision", args.precision), ("--threads", args.threads),
                         ("--budget", args.budget), ("--n-max", n_max)):
         if value is not None and value < 1:
             print(f"invalid {flag} value: {value} (must be >= 1)", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
-    return RunConfig(
-        command=args.command,
-        n=args.n,
-        a=args.a,
-        k=args.k,
-        grid=grid,
-        budget=args.budget,
-        precision=args.precision,
-        fmt=args.fmt,
-        out=args.out,
-        symbolic=getattr(args, "symbolic", False),
-        scaled=getattr(args, "scaled", False),
-        general_a=getattr(args, "general_a", False),
-        n_max=n_max,
-        suite=getattr(args, "suite", "all"),
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -364,14 +328,14 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
+    _check_args(args)
     try:
-        return _HANDLERS[cfg.command](cfg)
+        return _HANDLERS[args.command](args)
     except BudgetExceeded as exc:
-        print(f"{cfg.command}: {exc}", file=sys.stderr)
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:
-        print(f"{cfg.command}: {exc}", file=sys.stderr)
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -22,8 +22,8 @@ than silently widening further.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactalg import (Inconsistent, LinSys, RatLike, SymPoly, TwoPiPow,
                        Underdetermined, UniqueSolution, rat_str, solve_exact)
@@ -33,8 +33,7 @@ from .moment_lab import expectation_area
 HOLDOUT_MARGIN = 5
 
 
-@dataclass(frozen=True)
-class MomentAnsatz:
+class MomentAnsatz(NamedTuple):
     """Basis layout for one fit: symbols plus degree bounds for A and B.
 
     Monomials are ordered by total degree then lexicographically in the
@@ -80,28 +79,37 @@ class MomentAnsatz:
         return len(self.basis_a) + len(self.basis_b)
 
 
-@dataclass
 class FitResult:
     """Outcome of one undetermined-coefficients fit.
 
     status "verified" means the identity E_k = A + B*E_1 holds exactly at
     every sample and every holdout point.  On failure, `witness` carries
     the offending sample point (inconsistent) or the pivotless column index
-    (underdetermined).
+    (underdetermined).  Mutable: verify_fit extends `holdout_verified`.
     """
 
-    k: int
-    symbols: tuple[str, ...]
-    a_poly: SymPoly
-    b_poly: SymPoly
-    samples_used: list[tuple[int, int]]
-    holdout_verified: list[tuple[int, int]]
-    status: str
-    ansatz: MomentAnsatz
-    escalated: bool = False
-    witness: tuple[int, int] | int | None = None
-    _data: dict[tuple[int, int], tuple[Fraction, Fraction]] = field(
-        default_factory=dict, repr=False)
+    __slots__ = ("k", "symbols", "a_poly", "b_poly", "samples_used",
+                 "holdout_verified", "status", "ansatz", "escalated", "witness")
+
+    def __init__(self, k: int, symbols: tuple[str, ...], a_poly: SymPoly,
+                 b_poly: SymPoly, samples_used: list[tuple[int, int]],
+                 holdout_verified: list[tuple[int, int]], status: str,
+                 ansatz: MomentAnsatz, escalated: bool = False,
+                 witness: tuple[int, int] | int | None = None) -> None:
+        self.k = k
+        self.symbols = symbols
+        self.a_poly = a_poly
+        self.b_poly = b_poly
+        self.samples_used = samples_used
+        self.holdout_verified = holdout_verified
+        self.status = status
+        self.ansatz = ansatz
+        self.escalated = escalated
+        self.witness = witness
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"FitResult({fields})"
 
     def predicted(self, n: int, a: int, e1: Fraction) -> Fraction:
         point = {"n": Fraction(n), "a": Fraction(a)}
@@ -256,7 +264,7 @@ def fit_moment(k: int, ansatz: MomentAnsatz | None = None,
             return FitResult(k=k, symbols=ansatz.symbols, a_poly=a_poly,
                              b_poly=b_poly, samples_used=samples,
                              holdout_verified=list(holdout), status="verified",
-                             ansatz=ansatz, escalated=escalated, _data=data)
+                             ansatz=ansatz, escalated=escalated)
         if status == "inconsistent" and not escalated:
             ansatz = ansatz.escalated()
             escalated = True
@@ -265,7 +273,7 @@ def fit_moment(k: int, ansatz: MomentAnsatz | None = None,
         return FitResult(k=k, symbols=ansatz.symbols, a_poly=zero, b_poly=zero,
                          samples_used=samples, holdout_verified=[],
                          status=status, ansatz=ansatz, escalated=escalated,
-                         witness=witness, _data=data)
+                         witness=witness)
 
 
 def verify_fit(fit: FitResult, extra_points: list[tuple[int, int]]) -> bool:

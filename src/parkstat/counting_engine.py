@@ -20,8 +20,8 @@ a(a+n)^(n-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactalg import SymPoly, binomial, lagrange_interpolate
 from .genfun_engine import jet_many
@@ -109,8 +109,7 @@ def closed_form_symbolic(n: int) -> SymPoly:
     return SymPoly(("a",), terms)
 
 
-@dataclass(frozen=True)
-class ClosedFormReport:
+class ClosedFormReport(NamedTuple):
     """Outcome of the proof-by-evaluation of p(n,a) = a(a+n)^(n-1).
 
     Both sides at fixed n are polynomials in a of degree <= n, so n+1

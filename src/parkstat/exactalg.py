@@ -26,10 +26,9 @@ after construction and safe to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 RatLike = Union[int, Fraction]
 
@@ -339,18 +338,15 @@ class LinSys:
         self.rows.append(([Fraction(c) for c in coeffs], Fraction(rhs)))
 
 
-@dataclass(frozen=True)
-class UniqueSolution:
+class UniqueSolution(NamedTuple):
     values: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class Underdetermined:
+class Underdetermined(NamedTuple):
     free_column: int
 
 
-@dataclass(frozen=True)
-class Inconsistent:
+class Inconsistent(NamedTuple):
     row_index: int  # index of a reduced row of the form 0 = nonzero
 
 
@@ -581,16 +577,20 @@ def lagrange_interpolate(xs: Sequence[RatLike], ys: Sequence[RatLike]) -> list[F
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoPiPow:
-    """Exact split form r * (2*pi)^(h/2) with r rational and h in {0, 1}."""
-
+class _TwoPiPowFields(NamedTuple):
     r: Fraction
     h: int
 
-    def __post_init__(self):
-        if self.h not in (0, 1):
+
+class TwoPiPow(_TwoPiPowFields):
+    """Exact split form r * (2*pi)^(h/2) with r rational and h in {0, 1}."""
+
+    __slots__ = ()
+
+    def __new__(cls, r: Fraction, h: int) -> TwoPiPow:
+        if h not in (0, 1):
             raise ValueError("h must be 0 or 1")
+        return super().__new__(cls, r, h)
 
     def decimal(self, sig: int = 20) -> Decimal:
         with localcontext() as ctx:

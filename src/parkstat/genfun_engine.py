@@ -60,9 +60,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 from operator import mul
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import backend
 from .errors import BudgetExceeded
@@ -71,8 +70,7 @@ from .exactalg import PolyX, binomial_rows
 DEFAULT_CELL_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class AreaGenFun:
+class AreaGenFun(NamedTuple):
     """Q(n,a) as a dense polynomial: coeff of x^m counts functions of area m."""
 
     n: int
@@ -104,8 +102,7 @@ class AreaGenFun:
         return json.dumps(self.to_json_obj())
 
 
-@dataclass(frozen=True)
-class JetAtOne:
+class JetAtOne(NamedTuple):
     """(Q(n,a)(1), Q'(n,a)(1), ..., Q^(K)(n,a)(1)) as exact integers."""
 
     n: int

@@ -20,9 +20,9 @@ the output boundary, at an explicit precision).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactalg import PolyX, binomial, rat_str, sqrt_decimal, to_sig_str
 from .genfun_engine import DEFAULT_CELL_BUDGET, area_genfun, jet_at_one
@@ -118,8 +118,7 @@ def stirling2(j: int, k: int) -> int:
     return _stirling2_rows[j][k]
 
 
-@dataclass(frozen=True)
-class MomentTable:
+class MomentTable(NamedTuple):
     """Factorial, raw, central and scaled moments of the area statistic.
 
     Index i holds the (i+1)-st moment.  `scaled` entries are exact split
@@ -215,16 +214,14 @@ def moment_table(n: int, a: int = 1, order: int = 2) -> MomentTable:
                        raw=raw, central=central, scaled=scaled)
 
 
-@dataclass(frozen=True)
-class HistogramRow:
+class HistogramRow(NamedTuple):
     area: int
     count: int
     x: str        # (area - E)/sigma, fixed-precision decimal
     density: str  # count * sigma / total, fixed-precision decimal
 
 
-@dataclass(frozen=True)
-class ScaledHistogram:
+class ScaledHistogram(NamedTuple):
     """Exact area histogram with the scaled coordinate x = (m - E)/sigma."""
 
     n: int

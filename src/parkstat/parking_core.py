@@ -16,8 +16,7 @@ in this package is validated against it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import backend
 from .errors import BudgetExceeded
@@ -54,13 +53,19 @@ def max_area(n: int, a: int) -> int:
     return n * (2 * a + n - 3) // 2 if n >= 1 else 0
 
 
-@dataclass
-class AreaHistogram:
-    """Exact count of a-parking functions of length n for every area value."""
-
+class _AreaHistogramFields(NamedTuple):
     n: int
     a: int
-    counts: dict[int, int] = field(default_factory=dict)
+    counts: dict[int, int]
+
+
+class AreaHistogram(_AreaHistogramFields):
+    """Exact count of a-parking functions of length n for every area value."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, a: int, counts: dict[int, int] | None = None) -> AreaHistogram:
+        return super().__new__(cls, n, a, {} if counts is None else counts)
 
     @property
     def total(self) -> int:

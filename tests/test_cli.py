@@ -324,3 +324,25 @@ def test_cli_import_loads_no_heavy_numeric_package():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+TRACED_LAYERS = ("airy", "conjecture_fit", "counting_engine", "exactalg",
+                 "genfun_engine", "moment_lab", "parking_core")
+
+
+def test_cli_cold_start_imports_no_dataclasses_and_every_layer():
+    # every CLI call is a fresh interpreter, so what `import parkstat.cli`
+    # pulls in is paid per call: dataclasses (and the inspect it imports)
+    # added 15-25 ms to a 60-85 ms import.  The layers themselves stay eager,
+    # because a per-layer tracer looks them up in sys.modules right after
+    # the import.
+    def loaded(code):
+        proc = subprocess.run([sys.executable, "-c", code + "; print('\\n'.join(sys.modules))"],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    bare = loaded("import sys")
+    cli = loaded("import sys, parkstat.cli")
+    assert not {"dataclasses", "inspect"} & (cli - bare)
+    assert {f"parkstat.{layer}" for layer in TRACED_LAYERS} <= cli

@@ -326,6 +326,8 @@ def test_two_pi_pow():
     assert str(TwoPiPow(Fraction(5, 12), 0).decimal(10)).startswith("0.41666666")
     with pytest.raises(ValueError):
         TwoPiPow(Fraction(1), 2)
+    with pytest.raises(ValueError):
+        TwoPiPow(r=Fraction(1), h=-1)
 
 
 def test_rat_str_roundtrip():
