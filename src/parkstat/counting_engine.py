@@ -12,9 +12,9 @@ and above it from one run of the exponential-formula convolution over those
 counts (see genfun_engine).
 The anti-diagonal sweep of the recurrence above (kernels.count_step) is kept
 only as the test-time cross-check of those counts, like kernels.jet_step.
-count_symbolic runs the recurrence with a symbolic shift, telescoping the
-right-hand side over the shift with exact polynomial summation, and
-verify_closed_form is the proof-by-evaluation that the counts equal
+count_symbolic keeps the shift symbolic in that same exponential-formula law
+at x = 1, where it becomes an integer recurrence on coefficient lists in a,
+and verify_closed_form is the proof-by-evaluation that the counts equal
 a(a+n)^(n-1).
 """
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactalg import SymPoly, binomial, lagrange_interpolate
+from .exactalg import SymPoly, binomial
 from .genfun_engine import jet_many
 
 
@@ -37,67 +37,37 @@ def count(n: int, a: int = 1) -> int:
     return jet_many([(n, a)], 0)[(n, a)].values[0]
 
 
-def _shift_poly(coeffs: list[Fraction], c: int) -> list[Fraction]:
-    # p(b + c) by Horner: fold coefficients highest-first against (b + c)
-    out: list[Fraction] = []
-    for coef in reversed(coeffs):
-        # out(b) <- out(b) * (b + c) + coef
-        shifted = [Fraction(0)] + out
-        for i in range(len(out)):
-            shifted[i] += c * out[i]
-        out = shifted
-        if out:
-            out[0] += coef
-        else:
-            out = [Fraction(coef)]
-    return out or [Fraction(0)]
-
-
-def _sum_from_one(coeffs: list[Fraction]) -> list[Fraction]:
-    """Discrete antiderivative S(a) = sum_{b=1..a} g(b), exact.
-
-    S is a polynomial of degree deg(g) + 1; it is pinned down by its values
-    at a = 0..deg(g)+1 (cumulative sums) via Lagrange interpolation.
-    """
-
-    def g_at(b: int) -> Fraction:
-        acc = Fraction(0)
-        for coef in reversed(coeffs):
-            acc = acc * b + coef
-        return acc
-
-    deg = len(coeffs) - 1
-    xs = list(range(deg + 2))
-    ys: list[Fraction] = []
-    acc = Fraction(0)
-    for b in xs:
-        if b > 0:
-            acc += g_at(b)
-        ys.append(acc)
-    return lagrange_interpolate(xs, ys)
-
-
 def count_symbolic(n: int) -> SymPoly:
-    """p_n(a) as an exact polynomial in the shift a.
+    """p_n(a) as an exact polynomial in the shift a, by the exponential formula.
 
-    Runs the rearranged recurrence with the shift kept symbolic: at each
-    length the k >= 1 part is assembled from the shorter polynomials
-    (composed at shifted arguments) and telescoped over the shift by exact
-    polynomial summation from 1 to a.
+    With E_a(z) = sum_m p_m(a) z^m/m!, the Kung-Yan shift decomposition at
+    x = 1 gives E_a(z) = E_1(z)^a, and the exponential formula (see
+    genfun_engine) gives
+
+        log E_a(z) = a sum_{m>=1} m p_{m-1}(1) z^m/m!.
+
+    Differentiating E_a = exp(log E_a) and comparing the coefficients of
+    z^(m-1)/(m-1)! gives
+
+        p_m(a) = a sum_{i<m} C(m-1,i) (i+1) p_i(1) p_{m-1-i}(a),
+
+    where p_i(1) is the coefficient sum of the p_i already computed.  Each
+    p_m is an integer coefficient list in a, and multiplying by a shifts it
+    one place: n(n+1)(n+2)/6 multiply-adds in all.
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    polys: list[list[Fraction]] = [[Fraction(1)]]  # p_0(a) = 1
+    polys = [[1]]  # polys[m][j] is the coefficient of a^j in p_m(a)
+    at_one = [1]   # p_m(1)
     for m in range(1, n + 1):
-        g = [Fraction(0)] * m  # degree of g is m - 1
-        for k in range(1, m + 1):
-            child = _shift_poly(polys[m - k], k - 1)
-            w = binomial(m, k)
-            for i, coef in enumerate(child):
-                g[i] += w * coef
-        polys.append(_sum_from_one(g))
-    coeffs = polys[n]
-    return SymPoly.from_univariate(coeffs, "a")
+        p = [0] * (m + 1)
+        for i in range(m):
+            w = binomial(m - 1, i) * (i + 1) * at_one[i]
+            for j, c in enumerate(polys[m - 1 - i]):
+                p[j + 1] += w * c
+        polys.append(p)
+        at_one.append(sum(p))
+    return SymPoly.from_univariate(polys[n], "a")
 
 
 def closed_form_symbolic(n: int) -> SymPoly:

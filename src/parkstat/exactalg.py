@@ -18,6 +18,12 @@ result.  The building blocks are:
                                      every row, and Fraction Gauss-Jordan
                                      elimination as the fallback
 
+PolyX and SymPoly are containers with evaluation, not an algebra: the engines
+build their coefficients directly (PolyX from the area sweep, SymPoly from
+count_symbolic's coefficient lists and from the fitted solution vectors), and
+the classes hold, read, evaluate, reverse and print them.  Neither adds or
+multiplies polynomials.
+
 Decimal strings only appear at the output boundary (to_sig_str, sqrt_decimal),
 with an explicit number of significant digits.  All values are immutable
 after construction and safe to share between threads.
@@ -87,14 +93,6 @@ class PolyX:
     def zero(cls) -> PolyX:
         return cls(())
 
-    @classmethod
-    def one(cls) -> PolyX:
-        return cls((1,))
-
-    @classmethod
-    def monomial(cls, e: int, c: int = 1) -> PolyX:
-        return cls([0] * e + [c])
-
     @property
     def degree(self) -> int | None:
         return len(self.coeffs) - 1 if self.coeffs else None
@@ -104,30 +102,6 @@ class PolyX:
 
     def coeff(self, m: int) -> int:
         return self.coeffs[m] if 0 <= m < len(self.coeffs) else 0
-
-    def add_scaled(self, other: PolyX, c: int = 1) -> PolyX:
-        """self + c * other, coefficientwise."""
-        if c == 0 or not other.coeffs:
-            return self
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        out = [0] * n
-        for i, v in enumerate(a):
-            out[i] = v
-        for i, v in enumerate(b):
-            out[i] += c * v
-        return PolyX(out)
-
-    def __add__(self, other: PolyX) -> PolyX:
-        return self.add_scaled(other, 1)
-
-    def __sub__(self, other: PolyX) -> PolyX:
-        return self.add_scaled(other, -1)
-
-    def scale(self, c: int) -> PolyX:
-        if c == 0:
-            return PolyX.zero()
-        return PolyX(tuple(c * v for v in self.coeffs))
 
     def eval_one(self) -> int:
         return sum(self.coeffs)
@@ -197,58 +171,12 @@ class SymPoly:
         raise AttributeError("SymPoly is immutable")
 
     @classmethod
-    def constant(cls, symbols: Sequence[str], c: RatLike) -> SymPoly:
-        return cls(symbols, {(0,) * len(tuple(symbols)): Fraction(c)})
-
-    @classmethod
-    def variable(cls, symbols: Sequence[str], name: str) -> SymPoly:
-        syms = tuple(symbols)
-        exps = [0] * len(syms)
-        exps[syms.index(name)] = 1
-        return cls(syms, {tuple(exps): Fraction(1)})
-
-    @classmethod
     def from_univariate(cls, coeffs: Sequence[RatLike], symbol: str) -> SymPoly:
         """Dense coefficient list (index = exponent) -> one-symbol SymPoly."""
         return cls((symbol,), {(m,): c for m, c in enumerate(coeffs)})
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def _check(self, other: SymPoly) -> None:
-        if self.symbols != other.symbols:
-            raise ValueError(f"symbol sets differ: {self.symbols} vs {other.symbols}")
-
-    def __add__(self, other: SymPoly) -> SymPoly:
-        self._check(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + c
-        return SymPoly(self.symbols, out)
-
-    def __sub__(self, other: SymPoly) -> SymPoly:
-        return self + other.scale(-1)
-
-    def __mul__(self, other: SymPoly) -> SymPoly:
-        self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return SymPoly(self.symbols, out)
-
-    def __pow__(self, e: int) -> SymPoly:
-        if e < 0:
-            raise ValueError("negative power")
-        out = SymPoly.constant(self.symbols, 1)
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def scale(self, c: RatLike) -> SymPoly:
-        c = Fraction(c)
-        return SymPoly(self.symbols, {e: c * v for e, v in self.terms.items()})
 
     def eval(self, point: Mapping[str, RatLike]) -> Fraction:
         missing = [s for s in self.symbols if s not in point]
@@ -540,36 +468,6 @@ def _gauss_jordan(sys: LinSys) -> SolveResult:
     for r, col in pivots:
         values[col] = mat[r][w]
     return UniqueSolution(values=tuple(values))
-
-
-def lagrange_interpolate(xs: Sequence[RatLike], ys: Sequence[RatLike]) -> list[Fraction]:
-    """Dense coefficients of the unique degree < len(xs) interpolant.
-
-    Exact over the rationals; nodes must be distinct.
-    """
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have equal length")
-    n = len(xs)
-    xs = [Fraction(x) for x in xs]
-    ys = [Fraction(y) for y in ys]
-    coeffs = [Fraction(0)] * n
-    for i in range(n):
-        # basis polynomial prod_{j != i} (x - x_j) / (x_i - x_j)
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            basis = [Fraction(0)] + basis[:]
-            for t in range(len(basis) - 1):
-                basis[t] -= xs[j] * basis[t + 1]
-            denom *= xs[i] - xs[j]
-        scale = ys[i] / denom
-        for t in range(len(basis)):
-            coeffs[t] += scale * basis[t]
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
 
 
 # ---------------------------------------------------------------------------

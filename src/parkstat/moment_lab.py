@@ -121,9 +121,10 @@ def stirling2(j: int, k: int) -> int:
 class MomentTable(NamedTuple):
     """Factorial, raw, central and scaled moments of the area statistic.
 
-    Index i holds the (i+1)-st moment.  `scaled` entries are exact split
-    pairs (central_j, var_power) meaning central_j * variance^(-var_power);
-    it is None when the variance vanishes (scaled moments undefined).
+    Index i holds the (i+1)-st moment.  `variance` is the second central
+    moment, held even at order 1.  `scaled` entries are exact split pairs
+    (central_j, var_power) meaning central_j * variance^(-var_power); it is
+    None when the variance vanishes (scaled moments undefined).
     """
 
     n: int
@@ -132,15 +133,12 @@ class MomentTable(NamedTuple):
     factorial: tuple[Fraction, ...]
     raw: tuple[Fraction, ...]
     central: tuple[Fraction, ...]
+    variance: Fraction
     scaled: tuple[tuple[Fraction, Fraction], ...] | None
 
     @property
     def mean(self) -> Fraction:
         return self.raw[0]
-
-    @property
-    def variance(self) -> Fraction:
-        return self.central[1] if self.order >= 2 else Fraction(0)
 
     def scaled_decimal(self, j: int, precision: int = 15) -> Decimal:
         """Scaled moment j rendered as a decimal (variance must be > 0)."""
@@ -208,10 +206,14 @@ def convert_moments(factorial: list[Fraction]) -> tuple[
 
 
 def moment_table(n: int, a: int = 1, order: int = 2) -> MomentTable:
-    fact = factorial_moments(n, a, order)
+    """Moments 1..order; at order 1, the prefix of the order-2 table."""
+    # the variance and the scaled moments need the second moment
+    fact = factorial_moments(n, a, 2 if order == 1 else order)
     raw, central, scaled = convert_moments(fact)
-    return MomentTable(n=n, a=a, order=order, factorial=tuple(fact),
-                       raw=raw, central=central, scaled=scaled)
+    return MomentTable(n=n, a=a, order=order, factorial=tuple(fact[:order]),
+                       raw=raw[:order], central=central[:order],
+                       variance=central[1],
+                       scaled=None if scaled is None else scaled[:order])
 
 
 class HistogramRow(NamedTuple):

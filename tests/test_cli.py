@@ -83,6 +83,16 @@ def test_moments_zero_variance_flagged(capsys):
     assert json.loads(out)["scaled_split"] is None
 
 
+def test_moments_first_order_prints_the_variance(capsys):
+    code, out, _ = run_cli(capsys, "moments", "--n", "5", "--k", "1")
+    assert code == 0
+    assert "variance = 42515/11664" in out
+    assert "scaled_1 = 0 * variance^(-1/2)" in out
+    code, out, _ = run_cli(capsys, "moments", "--n", "1", "--k", "1")
+    assert code == 0
+    assert "scaled moments undefined (variance = 0)" in out
+
+
 def test_fit_text(capsys):
     code, out, _ = run_cli(capsys, "fit", "--k", "2")
     assert code == 0
@@ -209,9 +219,11 @@ def small_argvs(draw):
     """Small argvs of every command, valid or not."""
     command = draw(st.sampled_from(
         ["count", "genfun", "moments", "fit", "airy", "hist", "verify"]))
+    symbolic = command == "count" and draw(st.booleans())
     small = st.integers(-2, 6)
     k = draw(small)
-    argv = [command, "--n", str(draw(st.integers(-2, 25))),
+    # count --symbolic takes milliseconds at n = 60
+    argv = [command, "--n", str(draw(st.integers(-2, 60 if symbolic else 25))),
             "--a", str(draw(small)), "--k", str(k),
             "--format", draw(st.sampled_from(["csv", "json", "text"]))]
     if draw(st.booleans()):
@@ -219,7 +231,7 @@ def small_argvs(draw):
         argv += ["--grid", ",".join(map(str, grid))]
     if draw(st.booleans()):
         argv += ["--budget", str(draw(st.integers(-2, 10**5)))]
-    if command == "count" and draw(st.booleans()):
+    if symbolic:
         argv.append("--symbolic")
     if command == "fit":
         # two-symbol fits past k = 4 take seconds each

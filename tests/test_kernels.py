@@ -1,4 +1,9 @@
-"""Smoke test: every engine runs through the kernels module it calls."""
+"""Smoke test: the engines run on the pure-Python kernels module.
+
+The area polynomial sweep and the brute-force oracle call their kernels
+through `backend.kernels`; counts and jets come from the jet engine's own
+sums and convolutions, which call no kernel.
+"""
 
 import parkstat
 from parkstat import backend

@@ -159,6 +159,17 @@ def test_moment_table_scaled_second_is_one():
     assert table.variance > 0
 
 
+def test_moment_table_order_one_is_the_order_two_prefix():
+    for n in range(1, 13):
+        for a in range(1, 4):
+            one, two = moment_table(n, a, 1), moment_table(n, a, 2)
+            assert one.order == 1
+            assert one.variance == two.variance
+            for field in ("factorial", "raw", "central"):
+                assert getattr(one, field) == getattr(two, field)[:1]
+            assert one.scaled == (None if two.scaled is None else two.scaled[:1])
+
+
 def test_moment_table_zero_variance():
     table = moment_table(1, 1, 2)
     assert table.scaled is None

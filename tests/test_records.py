@@ -38,7 +38,7 @@ FROZEN = [
     (JetAtOne, {"n": 2, "a": 1, "order": 1, "values": (3, 1)}),
     (MomentTable, {"n": 2, "a": 1, "order": 1, "factorial": (Fraction(1, 3),),
                    "raw": (Fraction(1, 3),), "central": (Fraction(0),),
-                   "scaled": ((Fraction(0), Fraction(1, 2)),)}),
+                   "variance": Fraction(2, 9), "scaled": ((Fraction(0), Fraction(1, 2)),)}),
     (HistogramRow, {"area": 0, "count": 6, "x": "-1.2", "density": "0.3"}),
     (ScaledHistogram, {"n": 2, "a": 1, "precision": 5, "mean": Fraction(1, 3),
                        "variance": Fraction(2, 9), "rows": (HIST_ROW,)}),
