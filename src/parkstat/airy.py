@@ -17,7 +17,7 @@ drift fails loudly.
 
 asymptotic_check then renders, for each k, the exact ratio
 E_k(n,1) / (m_k n^(3k/2)) on a grid of n values and reports whether the
-deviations |ratio - 1| shrink along the grid and end below a threshold.
+deviations |ratio - 1| shrink along the grid and end below THRESHOLD.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .exactalg import TwoPiPow, _pi_decimal, rat_str, to_sig_str
 from .genfun_engine import jet_many
 
 RATIO_DIGITS = 20
+THRESHOLD = Fraction(1, 4)
 
 
 class AiryMoment(NamedTuple):
@@ -128,8 +129,7 @@ class AsymptoticReport(NamedTuple):
         return json.dumps(self.to_json_obj())
 
 
-def asymptotic_check(order: int, grid: list[int],
-                     threshold: Fraction = Fraction(1, 4)) -> AsymptoticReport:
+def asymptotic_check(order: int, grid: list[int]) -> AsymptoticReport:
     """Moment-by-moment convergence report over an ascending grid of n."""
     if order < 1:
         raise ValueError("need order >= 1")
@@ -144,7 +144,7 @@ def asymptotic_check(order: int, grid: list[int],
     summaries: list[KSummary] = []
     with localcontext() as ctx:
         ctx.prec = RATIO_DIGITS + 20
-        thr = Decimal(threshold.numerator) / Decimal(threshold.denominator)
+        thr = Decimal(THRESHOLD.numerator) / Decimal(THRESHOLD.denominator)
         for k in range(1, order + 1):
             mom = moments[k - 1]
             devs: list[Decimal] = []
@@ -165,7 +165,7 @@ def asymptotic_check(order: int, grid: list[int],
                 below_threshold=devs[-1] < thr,
             ))
     return AsymptoticReport(order=order, grid=tuple(grid),
-                            threshold=rat_str(threshold),
+                            threshold=rat_str(THRESHOLD),
                             rows=tuple(rows), per_k=tuple(summaries))
 
 

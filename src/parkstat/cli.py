@@ -1,9 +1,11 @@
 """Command-line surface: count, genfun, moments, fit, airy, hist, verify.
 
-Every command writes deterministic machine-readable output (csv, json, or
-text via --format) to stdout or --out.  Exit codes: 0 ok, 2 usage error,
-3 resource guard tripped, 4 mathematical verification failure.  Big numbers
-always print as exact decimal strings, never scientific notation.
+Each command parses only the flags its handler reads, plus --threads,
+--format and --out.  Every command writes deterministic machine-readable
+output (csv, json, or text via --format) to stdout or --out.  Exit codes:
+0 ok, 2 usage error, 3 resource guard tripped, 4 mathematical verification
+failure.  Big numbers always print as exact decimal strings, never
+scientific notation.
 """
 
 from __future__ import annotations
@@ -117,10 +119,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     elif args.fmt == "csv":
         lines = ["poly,powers,coeff"]
         for name, poly in (("A", fit.a_poly), ("B", fit.b_poly)):
-            keys = sorted(poly.terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
-            for exps in keys:
+            for exps, c in poly.ordered_terms():
                 powers = " ".join(f"{s}^{e}" for s, e in zip(poly.symbols, exps))
-                lines.append(f"{name},{powers},{rat_str(poly.terms[exps])}")
+                lines.append(f"{name},{powers},{rat_str(c)}")
         text = "\n".join(lines)
     else:
         if fit.status == "verified":
@@ -187,8 +188,8 @@ def cmd_hist(args: argparse.Namespace) -> int:
 
 
 def _verify_closed_form_suite(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
-    n_max = args.n if args.n else 10
-    a_max = args.a if args.a != 1 else n_max + 1
+    n_max = 10 if args.n is None else args.n
+    a_max = n_max + 1 if args.a is None else args.a
     report = verify_closed_form(n_max, a_max)
     return [("closed-form", report.ok, report.describe())]
 
@@ -240,28 +241,53 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "count": cmd_count,
-    "genfun": cmd_genfun,
-    "moments": cmd_moments,
-    "fit": cmd_fit,
-    "airy": cmd_airy,
-    "hist": cmd_hist,
-    "verify": cmd_verify,
+def positive_int(text: str) -> int:
+    """argparse type of the flags whose values must be >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"invalid value: {value} (must be >= 1)")
+    return value
+
+
+def int_list(text: str) -> tuple[int, ...]:
+    """argparse type of --grid: comma-separated integers, empty for none."""
+    return tuple(int(x) for x in text.split(",")) if text else ()
+
+
+# every flag a command can take, as argparse keyword arguments
+_FLAGS = {
+    "n": {"type": int, "default": 0},
+    "a": {"type": int, "default": 1},
+    "k": {"type": int, "default": 2},
+    "grid": {"type": int_list, "default": ()},
+    "budget": {"type": positive_int, "default": 10**7},
+    "precision": {"type": positive_int, "default": 15},
+    "symbolic": {"action": "store_true",
+                 "help": "print the counting polynomial in the shift a"},
+    "general-a": {"action": "store_true", "help": "fit polynomials in both n and a"},
+    "n-max": {"type": positive_int, "default": None,
+              "help": "extend the sample grid up to this n"},
+    "scaled": {"action": "store_true",
+               "help": "add scaled coordinate and density columns"},
+    "suite": {"choices": ("closed-form", "oracle", "all"), "default": "all"},
+    "threads": {"type": positive_int, "default": 1},
+    "format": {"dest": "fmt", "choices": ("csv", "json", "text"), "default": "text"},
+    "out": {"default": None},
 }
 
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, default=0)
-    sub.add_argument("--a", type=int, default=1)
-    sub.add_argument("--k", type=int, default=2)
-    sub.add_argument("--grid", type=str, default="")
-    sub.add_argument("--budget", type=int, default=10**7)
-    sub.add_argument("--threads", type=int, default=1)
-    sub.add_argument("--precision", type=int, default=15)
-    sub.add_argument("--format", dest="fmt", choices=("csv", "json", "text"),
-                     default="text")
-    sub.add_argument("--out", type=str, default=None)
+# command -> (handler, help, the flags its handler reads); every command also
+# takes --threads, --format and --out
+_COMMANDS = {
+    "count": (cmd_count, "count a-parking functions", ("n", "a", "symbolic")),
+    "genfun": (cmd_genfun, "area generating polynomial", ("n", "a", "budget")),
+    "moments": (cmd_moments, "exact moment table", ("n", "a", "k")),
+    "fit": (cmd_fit, "fit E_k = A + B*E_1 by undetermined coefficients",
+            ("k", "general-a", "n-max")),
+    "airy": (cmd_airy, "Airy moment convergence report", ("k", "grid")),
+    "hist": (cmd_hist, "area histogram (optionally scaled)",
+             ("n", "a", "budget", "precision", "scaled")),
+    "verify": (cmd_verify, "run verification suites", ("n", "a", "budget", "suite")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,54 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact statistics of (a-)parking functions",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("count", help="count a-parking functions")
-    _add_common(p)
-    p.add_argument("--symbolic", action="store_true",
-                   help="print the counting polynomial in the shift a")
-
-    p = subs.add_parser("genfun", help="area generating polynomial")
-    _add_common(p)
-
-    p = subs.add_parser("moments", help="exact moment table")
-    _add_common(p)
-
-    p = subs.add_parser("fit", help="fit E_k = A + B*E_1 by undetermined coefficients")
-    _add_common(p)
-    p.add_argument("--general-a", action="store_true", dest="general_a",
-                   help="fit polynomials in both n and a")
-    p.add_argument("--n-max", type=int, default=None, dest="n_max",
-                   help="extend the sample grid up to this n")
-
-    p = subs.add_parser("airy", help="Airy moment convergence report")
-    _add_common(p)
-
-    p = subs.add_parser("hist", help="area histogram (optionally scaled)")
-    _add_common(p)
-    p.add_argument("--scaled", action="store_true",
-                   help="add scaled coordinate and density columns")
-
-    p = subs.add_parser("verify", help="run verification suites")
-    _add_common(p)
-    p.add_argument("--suite", choices=("closed-form", "oracle", "all"),
-                   default="all")
-
+    for name, (handler, help_text, flags) in _COMMANDS.items():
+        # no abbreviations: `fit --n` must not pass for `fit --n-max`
+        p = subs.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags + ("threads", "format", "out"):
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.set_defaults(handler=handler)
+    # verify chooses its own closed-form grid for an --n or --a left unset
+    subs.choices["verify"].set_defaults(n=None, a=None)
     return parser
-
-
-def _check_args(args: argparse.Namespace) -> None:
-    """Parse --grid into a tuple in place; reject values below 1 (exit 2)."""
-    try:
-        args.grid = tuple(int(x) for x in args.grid.split(",")) if args.grid else ()
-    except ValueError:
-        print(f"invalid --grid value: {args.grid!r}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    n_max = getattr(args, "n_max", None)
-    for flag, value in (("--precision", args.precision), ("--threads", args.threads),
-                        ("--budget", args.budget), ("--n-max", n_max)):
-        if value is not None and value < 1:
-            print(f"invalid {flag} value: {value} (must be >= 1)", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -326,11 +313,9 @@ def main(argv: list[str] | None = None) -> int:
     # digits by default)
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _check_args(args)
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except BudgetExceeded as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

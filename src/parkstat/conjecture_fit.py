@@ -124,12 +124,8 @@ class FitResult:
 
     def to_json_obj(self) -> dict:
         def terms(p: SymPoly) -> list[dict]:
-            keys = sorted(p.terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
-            return [
-                {"powers": {s: e for s, e in zip(p.symbols, exps)},
-                 "coeff": rat_str(p.terms[exps])}
-                for exps in keys
-            ]
+            return [{"powers": dict(zip(p.symbols, exps)), "coeff": rat_str(c)}
+                    for exps, c in p.ordered_terms()]
 
         return {
             "k": self.k,
@@ -147,24 +143,25 @@ class FitResult:
         }
 
 
-def _default_points(ansatz: MomentAnsatz, margin: int,
+def _default_points(ansatz: MomentAnsatz,
                     n_max: int | None = None) -> tuple[list, list]:
     """(samples, holdout) grids for an ansatz; see the sample-grid note.
 
-    Single symbol: n = 1..(unknowns + margin) at a = 1, holdout the next
-    `margin` values of n.  Two symbols: a cross grid of n rows against
-    shifts 1..(degree bound + 2) -- the shift axis must offer more distinct
-    values than any fitted power of a, or the system goes rank-deficient.
+    Single symbol: n = 1..(unknowns + HOLDOUT_MARGIN) at a = 1, holdout the
+    next HOLDOUT_MARGIN values of n.  Two symbols: a cross grid of n rows
+    against shifts 1..(degree bound + 2) -- the shift axis must offer more
+    distinct values than any fitted power of a, or the system goes
+    rank-deficient.
     """
     u = ansatz.unknowns
     if ansatz.symbols == ("n",):
-        top = max(u + margin, n_max or 0)
+        top = max(u + HOLDOUT_MARGIN, n_max or 0)
         samples = [(n, 1) for n in range(1, top + 1)]
-        holdout = [(n, 1) for n in range(top + 1, top + margin + 1)]
+        holdout = [(n, 1) for n in range(top + 1, top + HOLDOUT_MARGIN + 1)]
     else:
         width = max(ansatz.deg_a, ansatz.deg_b) + 2
         shifts = tuple(range(1, width + 1))
-        rows = max(-(-(u + margin) // width), width, n_max or 0)  # ceil
+        rows = max(-(-(u + HOLDOUT_MARGIN) // width), width, n_max or 0)  # ceil
         samples = [(n, a) for n in range(1, rows + 1) for a in shifts]
         holdout = [(rows + 1, a) for a in shifts]
     return samples, holdout
@@ -244,20 +241,19 @@ def _inconsistency_witness(ansatz, samples, data):
 
 
 def fit_moment(k: int, ansatz: MomentAnsatz | None = None,
-               general_a: bool = False, n_max: int | None = None,
-               holdout_margin: int = HOLDOUT_MARGIN) -> FitResult:
+               general_a: bool = False, n_max: int | None = None) -> FitResult:
     """Fit E_k = A + B*E_1 by exact undetermined coefficients.
 
-    The sample system is overdetermined by `holdout_margin` rows (exact
+    The sample system is overdetermined by HOLDOUT_MARGIN rows (exact
     elimination of the extra rows is itself a consistency check) and the
-    solution is then verified on `holdout_margin` fresh points beyond the
+    solution is then verified on HOLDOUT_MARGIN fresh points beyond the
     sample grid.  An inconsistent attempt escalates the degree bounds once;
     a second failure is reported, never papered over.
     """
     ansatz = ansatz or MomentAnsatz.default(k, general_a)
     escalated = False
     while True:
-        samples, holdout = _default_points(ansatz, holdout_margin, n_max)
+        samples, holdout = _default_points(ansatz, n_max)
         data = _moment_data(samples + holdout, k)
         status, witness, a_poly, b_poly = _attempt(ansatz, samples, holdout, data)
         if status == "verified":

@@ -208,8 +208,14 @@ class SymPoly:
     def __hash__(self) -> int:
         return hash((self.symbols, frozenset(self.terms.items())))
 
+    def ordered_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        """(exponents, coefficient) pairs in output order: by descending total
+        degree, then by descending powers in symbol order."""
+        return sorted(self.terms.items(),
+                      key=lambda t: (-sum(t[0]), tuple(-x for x in t[0])))
+
     def format(self, star: bool = False) -> str:
-        """Expanded form, terms by descending total degree then symbol order.
+        """Expanded form, terms in `ordered_terms` order.
 
         star=False glues coefficients to monomials ("6a^2"); star=True writes
         an explicit "*" ("6*a^2").
@@ -217,10 +223,8 @@ class SymPoly:
         if not self.terms:
             return "0"
         sep = "*" if star else ""
-        keys = sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
         parts = []
-        for exps in keys:
-            c = self.terms[exps]
+        for exps, c in self.ordered_terms():
             mono = sep.join(
                 f"{s}^{e}" if e > 1 else s
                 for s, e in zip(self.symbols, exps) if e

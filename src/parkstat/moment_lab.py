@@ -154,7 +154,7 @@ class MomentTable(NamedTuple):
                 denom = denom.sqrt()
             return +(num / denom)
 
-    def to_json_obj(self, precision: int = 15) -> dict:
+    def to_json_obj(self) -> dict:
         obj = {
             "n": self.n,
             "a": self.a,

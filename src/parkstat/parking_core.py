@@ -22,6 +22,7 @@ from . import backend
 from .errors import BudgetExceeded
 
 DEFAULT_BUDGET = 10**7
+ORACLE_A_CAP = 12
 
 PrefVector = Sequence[int]
 
@@ -88,8 +89,8 @@ class AreaHistogram(_AreaHistogramFields):
         return json.dumps(self.to_json_obj())
 
 
-def oracle_pairs(budget: int = DEFAULT_BUDGET, a_cap: int = 12) -> list[tuple[int, int]]:
-    """All (n, a) whose full superset (n+a-1)^n fits the budget, a <= a_cap.
+def oracle_pairs(budget: int = DEFAULT_BUDGET) -> list[tuple[int, int]]:
+    """All (n, a <= ORACLE_A_CAP) whose full superset (n+a-1)^n fits the budget.
 
     The shift cap closes the quantifier: for tiny n the budget alone admits
     absurdly large shifts (for n = 1 every a qualifies).
@@ -97,7 +98,7 @@ def oracle_pairs(budget: int = DEFAULT_BUDGET, a_cap: int = 12) -> list[tuple[in
     pairs = []
     n = 1
     while n**n <= budget:
-        for a in range(1, a_cap + 1):
+        for a in range(1, ORACLE_A_CAP + 1):
             if (n + a - 1) ** n <= budget:
                 pairs.append((n, a))
         n += 1

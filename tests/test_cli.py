@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -214,51 +215,160 @@ def test_exit_code_usage_on_flag_below_one(argv):
     assert "must be >= 1" in proc.stderr
 
 
+# the flags each command's handler reads; every command also takes
+# --threads, --format and --out
+COMMAND_FLAGS = {
+    "count": ("n", "a", "symbolic"),
+    "genfun": ("n", "a", "budget"),
+    "moments": ("n", "a", "k"),
+    "fit": ("k", "general-a", "n-max"),
+    "airy": ("k", "grid"),
+    "hist": ("n", "a", "budget", "precision", "scaled"),
+    "verify": ("n", "a", "budget", "suite"),
+}
+
+
 @st.composite
 def small_argvs(draw):
-    """Small argvs of every command, valid or not."""
-    command = draw(st.sampled_from(
-        ["count", "genfun", "moments", "fit", "airy", "hist", "verify"]))
-    symbolic = command == "count" and draw(st.booleans())
+    """Small argvs of every command, valid or not, each with its own flags."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    flags = COMMAND_FLAGS[command]
+    symbolic = "symbolic" in flags and draw(st.booleans())
     small = st.integers(-2, 6)
+    argv = [command, "--format", draw(st.sampled_from(["csv", "json", "text"]))]
+    if "n" in flags:
+        # count --symbolic takes milliseconds at n = 60
+        argv += ["--n", str(draw(st.integers(-2, 60 if symbolic else 25)))]
+    if "a" in flags:
+        argv += ["--a", str(draw(small))]
     k = draw(small)
-    # count --symbolic takes milliseconds at n = 60
-    argv = [command, "--n", str(draw(st.integers(-2, 60 if symbolic else 25))),
-            "--a", str(draw(small)), "--k", str(k),
-            "--format", draw(st.sampled_from(["csv", "json", "text"]))]
-    if draw(st.booleans()):
+    if "k" in flags:
+        argv += ["--k", str(k)]
+    if "grid" in flags and draw(st.booleans()):
         grid = draw(st.lists(st.integers(-2, 30), min_size=1, max_size=3))
         argv += ["--grid", ",".join(map(str, grid))]
-    if draw(st.booleans()):
+    if "budget" in flags and draw(st.booleans()):
         argv += ["--budget", str(draw(st.integers(-2, 10**5)))]
+    if "precision" in flags and draw(st.booleans()):
+        argv += ["--precision", str(draw(st.integers(-2, 20)))]
     if symbolic:
         argv.append("--symbolic")
-    if command == "fit":
-        # two-symbol fits past k = 4 take seconds each
-        if k <= 4 and draw(st.booleans()):
-            argv.append("--general-a")
-        if draw(st.booleans()):
-            argv += ["--n-max", str(draw(st.integers(-2, 30)))]
-    if command == "hist" and draw(st.booleans()):
+    # two-symbol fits past k = 4 take seconds each
+    if "general-a" in flags and k <= 4 and draw(st.booleans()):
+        argv.append("--general-a")
+    if "n-max" in flags and draw(st.booleans()):
+        argv += ["--n-max", str(draw(st.integers(-2, 30)))]
+    if "scaled" in flags and draw(st.booleans()):
         argv.append("--scaled")
-    if command == "verify":
+    if "suite" in flags:
         argv += ["--suite", draw(st.sampled_from(["closed-form", "oracle", "all"]))]
     return argv
 
 
-@settings(max_examples=60, deadline=None)
-@given(argv=small_argvs())
-def test_cli_fuzz_exit_codes(argv):
+def outcome(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects before main returns
             code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=small_argvs())
+def test_cli_fuzz_exit_codes(argv):
+    code, out, err = outcome(argv)
     assert code in (0, 2, 3, 4)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if code == 2:
-        assert out.getvalue() == ""
+        assert out == ""
+
+
+def test_each_command_takes_only_its_own_flags(capsys):
+    for command, flags in COMMAND_FLAGS.items():
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert listed == {f"--{f}" for f in flags + ("threads", "format", "out", "help")}
+
+
+def _with(base, *extra):
+    return base, base + list(extra)
+
+
+# (command, flag) -> two argvs that differ only in that flag's value
+LIVE_FLAGS = {
+    ("count", "n"): _with(["count"], "--n", "3"),
+    ("count", "a"): _with(["count", "--n", "3"], "--a", "2"),
+    ("count", "symbolic"): _with(["count", "--n", "3"], "--symbolic"),
+    ("count", "format"): _with(["count", "--n", "3"], "--format", "json"),
+    ("genfun", "n"): _with(["genfun"], "--n", "3"),
+    ("genfun", "a"): _with(["genfun", "--n", "3"], "--a", "2"),
+    ("genfun", "budget"): _with(["genfun", "--n", "8"], "--budget", "10"),
+    ("genfun", "format"): _with(["genfun", "--n", "3"], "--format", "csv"),
+    ("moments", "n"): _with(["moments"], "--n", "3"),
+    ("moments", "a"): _with(["moments", "--n", "3"], "--a", "2"),
+    ("moments", "k"): _with(["moments", "--n", "3"], "--k", "3"),
+    ("moments", "format"): _with(["moments", "--n", "3"], "--format", "json"),
+    ("fit", "k"): _with(["fit"], "--k", "1"),
+    ("fit", "general-a"): _with(["fit", "--k", "1"], "--general-a"),
+    ("fit", "n-max"): _with(["fit", "--k", "1"], "--n-max", "30"),
+    ("fit", "format"): _with(["fit", "--k", "1"], "--format", "json"),
+    ("airy", "k"): _with(["airy", "--grid", "36,144"], "--k", "1"),
+    ("airy", "grid"): _with(["airy", "--k", "1"], "--grid", "36,144"),
+    ("airy", "format"): _with(["airy", "--k", "1", "--grid", "36"], "--format", "csv"),
+    ("hist", "n"): _with(["hist"], "--n", "3"),
+    ("hist", "a"): _with(["hist", "--n", "3"], "--a", "2"),
+    ("hist", "budget"): _with(["hist", "--n", "8"], "--budget", "10"),
+    ("hist", "precision"): _with(["hist", "--n", "4", "--scaled", "--format", "csv"],
+                                 "--precision", "3"),
+    ("hist", "scaled"): _with(["hist", "--n", "4"], "--scaled"),
+    ("hist", "format"): _with(["hist", "--n", "3"], "--format", "csv"),
+    ("verify", "n"): _with(["verify", "--suite", "closed-form"], "--n", "4"),
+    ("verify", "a"): _with(["verify", "--suite", "closed-form"], "--a", "3"),
+    # the default budget of 10^7 runs the full oracle, which takes seconds
+    ("verify", "budget"): _with(["verify", "--suite", "oracle", "--budget", "1000"],
+                                "--budget", "100"),
+    ("verify", "suite"): _with(["verify", "--n", "3", "--budget", "100"],
+                               "--suite", "closed-form"),
+    ("verify", "format"): _with(["verify", "--suite", "closed-form"], "--format", "csv"),
+}
+
+
+def test_live_flag_cases_cover_every_declared_flag():
+    assert set(LIVE_FLAGS) == {(c, f) for c, flags in COMMAND_FLAGS.items()
+                               for f in flags + ("format",)}
+
+
+@pytest.mark.parametrize("without,with_flag", LIVE_FLAGS.values(),
+                         ids=[f"{c} --{f}" for c, f in LIVE_FLAGS])
+def test_every_declared_flag_changes_the_outcome(without, with_flag):
+    assert outcome(without)[:2] != outcome(with_flag)[:2]
+
+
+# each value flag some command reads, paired with every command that does not
+UNDECLARED = [(c, f) for c, flags in COMMAND_FLAGS.items()
+              for f in ("n", "a", "k", "grid", "budget", "precision") if f not in flags]
+
+
+@pytest.mark.parametrize("command,flag", UNDECLARED,
+                         ids=[f"{c} --{f}" for c, f in UNDECLARED])
+def test_flag_a_command_does_not_read_is_a_usage_error(command, flag):
+    code, out, err = outcome([command, f"--{flag}", "3"])
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments" in err
+
+
+def test_verify_honours_explicit_n_and_a(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "closed-form",
+                           "--n", "3", "--a", "1")
+    assert code == 0
+    assert "(n <= 3, a <= 1)" in out
+    code, out, err = run_cli(capsys, "verify", "--suite", "closed-form", "--n", "0")
+    assert (code, out) == (2, "")
+    assert "n_max >= 1" in err
 
 
 def test_out_to_missing_directory(tmp_path, capsys):
