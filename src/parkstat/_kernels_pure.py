@@ -55,7 +55,7 @@ def count_step(prev: list, s: int, n_cap: int, binom: list) -> list:
     with all referenced states living on diagonal s-1 (= prev).
 
     No engine calls this: counting_engine.count reads the order-0 jet of the
-    convolution engine in genfun_engine.  It stays as the independent O(n^3)
+    Wright-Abel sums in genfun_engine.  It stays as the independent O(n^3)
     path the tests check those counts against, and because the benchmark
     tracer wraps it.
     """
@@ -116,9 +116,10 @@ def jet_step(prev: list, s: int, n_cap: int, kmax: int, binom: list) -> list:
     x^e contributes binomially: T_i <- T_i + C(n,k) * C(e,t) * T_child[i-t],
     which is the k-times-differentiated recurrence divided through by i!.
 
-    No engine calls this: the jet engine uses the O(n^2 K^2) convolution in
-    genfun_engine.  It stays as the independent O(n^3 K^2) path the tests
-    check that engine against, and because the benchmark tracer wraps it.
+    No engine calls this: the jet engine uses one Wright-Abel suffix-sum run
+    per state in genfun_engine.  It stays as the independent O(n^3 K^2) path
+    the tests check that engine against, and because the benchmark tracer
+    wraps it.
     """
     top = min(s, n_cap)
     width = kmax + 1

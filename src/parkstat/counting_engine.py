@@ -6,16 +6,16 @@ term of the fundamental recurrence to the left gives
     p(n, a) = p(n, a-1) + sum_{k=1..n} C(n,k) p(n-k, a+k-1),
     p(0, a) = 1,  p(n, 0) = 0 for n >= 1.
 
-count takes p(n, a) = Q(n,a)(1) from the jet engine at order 0, i.e. at
-a = 1 from Cayley's formula by Lagrange inversion (the order-0 Wright sum)
-and above it from one run of the exponential-formula convolution over those
-counts (see genfun_engine).
+count takes p(n, a) = Q(n,a)(1) from the jet engine at order 0, i.e. from
+one Lagrange-inversion sum per state, g_0 - g_1 with
+g_l = n^{falling l} (a+n)^{n-l}, run by the same suffix-sum loop as every
+higher order (see genfun_engine).
 The anti-diagonal sweep of the recurrence above (kernels.count_step) is kept
 only as the test-time cross-check of those counts, like kernels.jet_step.
-count_symbolic keeps the shift symbolic in that same exponential-formula law
-at x = 1, where it becomes an integer recurrence on coefficient lists in a,
-and verify_closed_form is the proof-by-evaluation that the counts equal
-a(a+n)^(n-1).
+count_symbolic keeps the shift symbolic in the exponential-formula law
+log E_a(z) = sum_m [am]_x Q(m-1,1) z^m/m! at x = 1, where it becomes an
+integer recurrence on coefficient lists in a, and verify_closed_form is the
+proof-by-evaluation that the counts equal a(a+n)^(n-1).
 """
 
 from __future__ import annotations

@@ -19,40 +19,31 @@ Two engines compute Q:
   * jet_at_one carries only (Q(1), Q'(1), ..., Q^(K)(1)) per state (the
     performance path; this is what makes n in the hundreds cheap).
 
-The jets never use the triangle.  Every shift follows from one law.  Write
-E_a(z) = sum_m Q(m,a) z^m/m!.  The shift decomposition of Kung & Yan
-("Goncarov polynomials and parking functions", JCTA 2003) gives
-E_a(z) = prod_{j<a} E_1(x^j z).  The Kreweras convolution (area enumerator
-of parking functions = inversion enumerator of trees, Period. Math.
-Hungar. 1980) is the statement that
-log E_1(z) = sum_m [m]_x Q(m-1,1) z^m/m!, with [e]_x = 1 + x + ... +
-x^{e-1}.  Summing it over the a factors, the x^j turn [m]_x into [am]_x:
+The jets never use the triangle; every shift runs one path.  Write
+E_a(z) = sum_m Q(m,a) z^m/m! and x = 1+q.  The shift decomposition of
+Kung & Yan (JCTA 2003) and the Kreweras convolution (Period. Math. Hungar.
+1980) give
 
-    log E_a(z) = sum_m [am]_x Q(m-1,1) z^m/m!,
+    log E_a(z) = sum_m [am]_x Q(m-1,1) z^m/m!,  [e]_x = 1 + x + ... + x^{e-1},
 
-and differentiating in z gives one recurrence for every shift (see
-_convolution_jets),
-
-    Q(m,a) = sum_{i<m} C(m-1,i) [a(i+1)]_x Q(i,1) Q(m-1-i,a),
-
-which at a = 1 is the Kreweras convolution itself.  In the Taylor basis
-below, [e]_x is the jet C(e, t+1).
-
-At a = 1 the convolution only runs up to a small seed.  By Mallows-Riordan
-and Kreweras, Taylor coefficient t of Q(n,1) at x = 1 is c(n+1, n+t), the
-number of connected graphs on n+1 labelled vertices with excess t-1 (Knuth,
-"Linear probing and graphs", Algorithmica 1998).  Wright (J. Graph Theory
-1977) gives their generating functions as W_k = P_k(T)/(1-T)^{3k} in the
-tree function T, so Lagrange inversion turns each count into one sum over
-O(n) terms, O(nK) big-by-small work per length (see _wright_jet); the
-order-0 term is Cayley's formula.  The polynomials P_k are read off exact
-jets at n <= 3K-2, which the convolution computes on first use at each
-order K (_wright_polys).  Each shift a > 1 is one run of the convolution,
-fed with the Wright jets of every m < n.  Jets are held in the Taylor basis
-T_i = Q^(i)(1)/i!, where products are truncated Leibniz convolutions; they
-are converted back to derivative values on harvest.  The convolution at
-a = 1 and the triangle's jet kernel (kernels.jet_step) are the test-time
-cross-checks of this engine.
+and by Mallows-Riordan and Kreweras, Taylor coefficient t of Q(m-1,1) at
+x = 1 is the number of connected graphs on m labelled vertices with excess
+t-1 (Knuth, "Linear probing and graphs", Algorithmica 1998).  Wright
+(J. Graph Theory 1977) gives their generating functions W_k as rational
+functions of the tree function T = z e^T, from his own recurrence
+(_wright).  With [am]_x = sum_s C(am, s+1) q^s and theta = z d/dz, the q^t
+part of log E_a is Lambda_t = sum_{r=1..t+1} C(a theta, r) W_{t-r}, and
+Lambda_0 = aT, so E_a = e^{aT} G with G = exp(sum_{t>=1} q^t Lambda_t)
+(Janson, Knuth, Luczak & Pittel, "The birth of the giant component",
+Random Struct. Algorithms 1993, for the theta calculus).  One table per
+shift holds the G_t (_shift_table), and Lagrange inversion turns Taylor
+coefficient t of each Q(n,a) into one sum over O(n) terms: about
+(n+1)(3K-2) big-integer additions per state (_state_jet).  The order-0 term
+is a(a+n)^(n-1).  Jets are held in the Taylor basis T_t = Q^(t)(1)/t! and
+converted back to derivative values on harvest.  The exponential-formula
+convolution that follows from log E_a by differentiating in z, and the
+triangle's jet kernel (kernels.jet_step), are the test-time cross-checks
+of this engine.
 """
 
 from __future__ import annotations
@@ -60,7 +51,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from operator import mul
 from typing import Iterable, NamedTuple
 
 from . import backend
@@ -211,162 +201,156 @@ def sum_genfun(n: int, a: int = 1, budget: int = DEFAULT_CELL_BUDGET) -> PolyX:
     return q.poly.reverse(n * (2 * a + n - 1) // 2)
 
 
-def _jet_mul(p: list[int], q: list[int], width: int) -> list[int]:
-    """Truncated product of two Taylor jets: (pq)[t] = sum_s p[s] q[t-s]."""
-    rq = q[::-1]
-    return [sum(map(mul, p, rq[width - 1 - t:])) for t in range(width)]
+def _norm(level: int, p: list[int], d: int) -> tuple[int, list[int], int]:
+    while len(p) > 1 and not p[-1]:
+        p.pop()
+    g = math.gcd(d, *p)
+    return level, [c // g for c in p], d // g
 
 
-def _add_scaled(acc: list[int], c: int, term: list[int]) -> None:
-    for t, v in enumerate(term):
-        acc[t] += c * v
+def _combine(terms, div: int = 1) -> tuple[int, list[int], int]:
+    """sum of c f over (c, f) pairs with integer c, divided by div.
 
-
-def _convolution_jets(n_max: int, a: int, width: int,
-                      at_one: list[list[int]] | None) -> list[list[int]]:
-    """Taylor jets of Q(m,a) for m = 0..n_max, by the exponential formula.
-
-    Q(m,a) = sum_{i<m} C(m-1,i) [a(i+1)]_x Q(i,1) Q(m-1-i,a), with the
-    bracket jet [e]_x = C(e, t+1) (see the module docstring).  at_one holds
-    the jets of Q(i,1) for i < n_max; None feeds the recurrence on its own
-    output, which is valid at a = 1 only.  Each lam[i] = [a(i+1)]_x Q(i,1)
-    is formed once, so each term is one jet product.  Production runs it at
-    a = 1 only up to n = 3K-2, the seed size of _wright_polys; the tests run
-    it further as the reference.
+    A rational function of T is held as f = (L, p, d), meaning
+    sum_i p_i T^i / (d (1-T)^L) with integer p_i and d > 0; the sum is
+    taken over the highest L of its terms.
     """
-    binom = binomial_rows(n_max)
-    jets = [[1] + [0] * (width - 1)]
-    ones = jets if at_one is None else at_one
-    lam = []
-    for m in range(1, n_max + 1):
-        bracket = [math.comb(a * m, t + 1) for t in range(width)]
-        lam.append(_jet_mul(bracket, ones[m - 1], width))
-        row = binom[m - 1]
-        acc = [0] * width
-        for i in range(m):
-            _add_scaled(acc, row[i], _jet_mul(lam[i], jets[m - 1 - i], width))
-        jets.append(acc)
-    return jets
+    level = max(f[0] for _, f in terms)
+    den = math.lcm(*(f[2] for _, f in terms))
+    acc: list[int] = []
+    for c, (L, p, d) in terms:
+        for _ in range(level - L):
+            p = [x - y for x, y in zip(p + [0], [0] + p)]
+        acc += [0] * (len(p) - len(acc))
+        scale = c * (den // d)
+        for i, x in enumerate(p):
+            acc[i] += scale * x
+    return _norm(level, acc, den * div)
 
 
-def _wright_polys(top: int) -> list[tuple[list[int], int]]:
-    """Wright's P_1..P_top as (integer coefficients of T^0.., denominator).
+def _theta(f) -> tuple[int, list[int], int]:
+    """theta = z d/dz = T/(1-T) d/dT: p/(1-T)^L -> T(p'(1-T) + Lp)/(1-T)^(L+2)."""
+    L, p, d = f
+    return _norm(L + 2, [0] + [(i + 1) * y + (L - i) * x
+                               for i, (x, y) in enumerate(zip(p, p[1:] + [0]))], d)
 
-    W_k(T e^{-T}) = P_k(T)/(1-T)^{3k} with deg P_k <= 3k+2, so P_k is read
-    off the exact counts c(N, N+k) for N <= 3k+2.  Those are Taylor
-    coefficient k+1 of Q(N-1,1), from one convolution at n <= 3 top + 1:
-        d! [T^d] W_k(T e^{-T}) = sum_N C(d,N) c(N,N+k) (-N)^{d-N}.
-    """
-    seed = _convolution_jets(3 * top + 1, 1, top + 2, None) if top >= 1 else []
-    polys = []
-    for k in range(1, top + 1):
-        deg = 3 * k + 2
-        scale = math.factorial(deg)
-        w = [scale // math.factorial(d)
-             * sum(math.comb(d, N) * seed[N - 1][k + 1] * (-N) ** (d - N)
-                   for N in range(1, d + 1))
-             for d in range(deg + 1)]
-        p = [sum((-1) ** j * math.comb(3 * k, j) * w[d - j] for j in range(d + 1))
-             for d in range(deg + 1)]
-        g = math.gcd(scale, *p)
-        polys.append(([c // g for c in p], scale // g))
-    return polys
+
+def _mul(f, g) -> tuple[int, list[int], int]:
+    (L, p, d), (M, q, e) = f, g
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return _norm(L + M, out, d * e)
 
 
 @functools.lru_cache(maxsize=None)
-def _wright_derivatives(top: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    """W_k'(u) = num(u) / (den (1-u)^level) as (num, level, den), k = -1..top.
+def _wright(top: int) -> tuple[tuple, tuple]:
+    """((theta W_{-1}, ..., theta W_top), W_top) in Wright's excess series.
 
-    W_{-1}' = 1 - u, W_0' = u^2/(2(1-u)) and, for k >= 1,
-    W_k' = (P_k'(1-u) + 3k P_k) / (1-u)^{3k+1}.  Derived on first use.
+    W_k is the egf of connected graphs with excess k in the tree function T:
+    W_{-1} = T - T^2/2, theta W_{-1} = T, theta W_0 = T^3/(2(1-T)^2), and for
+    k >= 0, with D = T d/dT,
+        2(k+1+D) W_{k+1} = (theta^2 - 3 theta - 2k) W_k
+                           + sum_{i+j=k; i,j>=0} theta W_i theta W_j,
+    which is 2x d/dx F = z^2 F'' for F = sum_m x^C(m,2) z^m/m! written for
+    log F = sum_k q^k W_k(qz), x = 1+q.  With W_{k+1} = P/(1-T)^{3k+3} and
+    the right side r/(2d (1-T)^{3k+4}), D turns into the forward recurrence
+    (k+1+i) p_i = r_i/(2d) - (2k+3-i) p_{i-1}, exact in integers over
+    2d (k+1)(k+2)...  W_0 itself has a log term but is never read, since
+    its factor 2k is 0; it stands as 0.
     """
-    terms = [((1, -1), 0, 1), ((0, 0, 1), 1, 2)]
-    for k, (p, den) in enumerate(_wright_polys(top), start=1):
-        dp = [i * c for i, c in enumerate(p)][1:] + [0]
-        num = tuple(3 * k * c + d - (dp[i - 1] if i else 0)
-                    for i, (c, d) in enumerate(zip(p, dp)))
-        terms.append((num, 3 * k + 1, den))
-    return tuple(terms[:top + 2])
+    thetas, w = [(0, [0, 1], 1), (2, [0, 0, 0, 1], 2)], (0, [0], 1)
+    for k in range(top):
+        terms = [(1, _theta(thetas[-1])), (-3, thetas[-1]), (-2 * k, w)]
+        terms += [(1, _mul(thetas[i + 1], thetas[k - i + 1])) for i in range(k + 1)]
+        level, r, d = _combine(terms)
+        scale = math.prod(range(k + 1, k + 1 + len(r)))
+        p = [0]
+        for i, x in enumerate(r):
+            p.append((x * scale - (level - 1 - k - i) * p[-1]) // (k + 1 + i))
+        w = _norm(level - 1, p[1:], 2 * d * scale)
+        thetas.append(_theta(w))
+    return tuple(thetas), w
 
 
-def _wright_jet(n: int, width: int) -> list[int]:
-    """Taylor jet of Q(n,1) at x = 1 from Wright's excess series.
+def _shift_table(a: int, top: int) -> list[tuple[int, list[int], int]]:
+    """(1-u) G_t(u) as (level, p, d) for t = 0..top, at shift a.
 
-    Entry t is c(N, N-1+t), N = n+1, the number of connected graphs with
-    excess k = t-1.  Lagrange inversion of T = z e^T gives
-        c(N, N+k) = N! [z^N] W_k(T) = sum_i h_{k,i} g_i,
-        g_i = (N-1)^{falling i} N^{N-1-i},
-    with h_k the series of W_k'(u).  The factor (1-u)^{-m} of W_k' turns g
-    into its m-fold suffix sums, shared by every k.  They are run from
-    i = N-1 down, so the big integers live at once number O(K^2), not O(N).
+    Lambda_t = sum_{r=1..t+1} C(a theta, r) W_{t-r} is the q^t part of
+    log E_a(z) = sum_m [am]_x Q(m-1,1) z^m/m!, and G = exp(sum_{t>=1} q^t
+    Lambda_t) by t G_t = sum_{s=1..t} s Lambda_s G_{t-s}, G_0 = 1.
     """
-    N = n + 1
-    terms = _wright_derivatives(width - 2)
-    levels = terms[-1][1]
-    low = min(N, max(len(num) for num, _, _ in terms))
-    sums = [0] * (levels + 1)  # sums[m]: m-fold suffix sum of g at i
-    at = [None] * low          # at[j]: sums at i = j
-    g = math.factorial(N - 1)
-    for i in range(N - 1, -1, -1):
+    lam = [(0, [0], 1)] * (top + 1)  # lam[0] collects Lambda_0, never read
+    thetas = _wright(max(top - 1, 0))[0]
+    for k in range(-1, top):
+        v = _combine([(a, thetas[k + 1])])
+        for r in range(1, top - k + 1):
+            if r > 1:  # C(a theta, r) = C(a theta, r-1) (a theta - r + 1)/r
+                v = _combine([(a, _theta(v)), (1 - r, v)], r)
+            lam[k + r] = _combine([(1, lam[k + r]), (1, v)])
+    g = [(0, [1], 1)]
+    for t in range(1, top + 1):
+        g.append(_combine([(s, _mul(lam[s], g[t - s])) for s in range(1, t + 1)], t))
+    return [(0, [1, -1], 1)] + [(L - 1, p, d) for L, p, d in g[1:]]
+
+
+def _state_jet(n: int, a: int, table) -> list[int]:
+    """Taylor jet of Q(n,a) at x = 1 from the shift table of a.
+
+    Lagrange inversion of T = z e^T, n! [z^n] e^{aT} G_t(T) =
+    n! [u^n] e^{(a+n)u} (1-u) G_t(u), turns entry t into sum_j p_j S_L(j)/d,
+    where S_L(j) is the L-fold suffix sum at j of
+    g_l = n^{falling l} (a+n)^{n-l}.  The sums are run from l = n down, so
+    the big integers live at once number O(K^2), not O(n).
+    """
+    b = a + n
+    levels = max(L for L, _, _ in table)
+    low = min(n + 1, max(len(p) for _, p, _ in table))
+    sums = [0] * (levels + 1)  # sums[m]: m-fold suffix sum of g at l
+    at = [None] * low          # at[j]: sums at l = j
+    g = math.factorial(n)
+    for l in range(n, -1, -1):
         sums[0] = g
         for m in range(1, levels + 1):
             sums[m] += sums[m - 1]
-        if i < low:
-            at[i] = sums[:]
-        if i:
-            g = g * N // (N - i)
-    return [sum(c * at[j][m] for j, c in enumerate(num[:N])) // den
-            for num, m, den in terms]
+        if l < low:
+            at[l] = sums[:]
+        if l:
+            g = g * b // (n - l + 1)
+    return [sum(c * at[j][L] for j, c in enumerate(p[:n + 1])) // d
+            for L, p, d in table]
 
 
 def jet_many(targets: Iterable[tuple[int, int]], order: int) -> dict[tuple[int, int], JetAtOne]:
     """K-jets at x = 1 for every requested state.
 
-    At a = 1 each requested length is one Wright sum (see _wright_jet),
-    unless no length exceeds the 3K-2 that deriving Wright's polynomials
-    would convolve to; then the convolution itself is the cheaper path.
-    Every shift a > 1 is one run of the convolution (see _convolution_jets)
-    up to the longest length asked for at that shift, fed with the jets of
-    Q(i,1) below it; shifts do not depend on each other.  Per the
-    Taylor-basis note in the module docstring, harvested entries are
-    rescaled by i! to derivative values.
+    Each shift builds one table (_shift_table) up to the highest order its
+    states can use, since orders above deg Q(n,a) = n(2a+n-3)/2 are zeros.
+    Each state is then one suffix-sum run (_state_jet).  Per the
+    Taylor-basis note in the module docstring, entries are rescaled by t! to
+    derivative values.
     """
     if order < 0:
         raise ValueError("need order >= 0")
-    targets = sorted(set(targets))
+    targets = sorted(set(targets), reverse=True)
     if any(n < 0 or a < 0 for n, a in targets):
         raise ValueError("states need n >= 0 and a >= 0")
-    width = order + 1
-    harvest: dict[tuple[int, int], list[int]] = {}
-    by_shift: dict[int, list[int]] = {}
-    for n, a in targets:
-        if n == 0:
-            harvest[(n, a)] = [1] + [0] * order
-        elif a == 0:
-            harvest[(n, a)] = [0] * width
+    fact = [math.factorial(t) for t in range(order + 1)]
+    tables: dict[int, list] = {}
+    jets = {}
+    for n, a in targets:  # the longest length at a shift uses the most orders
+        if n and a:
+            top = min(order, n * (2 * a + n - 3) // 2)
+            if a not in tables:
+                tables[a] = _shift_table(a, top)
+            taylor = _state_jet(n, a, tables[a][:top + 1])
         else:
-            by_shift.setdefault(a, []).append(n)
-    if by_shift:
-        longest = max(max(ns) for ns in by_shift.values())
-        if longest <= 3 * order - 2:
-            # within the seed size of _wright_polys the convolution is cheaper
-            at_one = _convolution_jets(longest, 1, width, None).__getitem__
-        else:
-            at_one = functools.partial(_wright_jet, width=width)
-        # each a > 1 run reads Q(i,1) below its longest length
-        wide = max((max(ns) for a, ns in by_shift.items() if a > 1), default=0)
-        ones = [at_one(m) for m in range(wide)]
-        for a, ns in by_shift.items():
-            jet = at_one if a == 1 else \
-                _convolution_jets(max(ns), a, width, ones).__getitem__
-            for n in ns:
-                harvest[(n, a)] = jet(n)
-    fact = [math.factorial(i) for i in range(width)]
-    return {
-        (n, a): JetAtOne(n=n, a=a, order=order,
-                         values=tuple(t * f for t, f in zip(taylor, fact)))
-        for (n, a), taylor in harvest.items()
-    }
+            taylor = [int(n == 0)]
+        taylor += [0] * (order + 1 - len(taylor))
+        jets[(n, a)] = JetAtOne(n=n, a=a, order=order,
+                                values=tuple(t * f for t, f in zip(taylor, fact)))
+    return jets
 
 
 def jet_at_one(n: int, a: int, order: int) -> JetAtOne:

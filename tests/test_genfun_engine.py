@@ -1,6 +1,7 @@
 """Tests for area/sum generating polynomials and the jet engine."""
 
 import functools
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -16,11 +17,11 @@ from parkstat.cli import main as cli_main
 from parkstat.counting_engine import count, verify_closed_form
 from parkstat.errors import BudgetExceeded
 from parkstat.exactalg import PolyX
-from parkstat.genfun_engine import (_convolution_jets, _sweep, _wright_polys,
-                                    area_genfun, area_genfun_many,
+from parkstat.genfun_engine import (_sweep, area_genfun, area_genfun_many,
                                     jet_at_one, jet_many, sum_genfun)
 from parkstat.moment_lab import moment_table
 from parkstat.parking_core import brute_histogram, max_area
+from reference import convolution_jets, reference_jets
 
 
 def test_area_genfun_examples():
@@ -135,10 +136,12 @@ def test_convolution_matches_triangle(targets, order):
 def test_wright_polynomials_pinned():
     # Wright (1977): P_1 = T^4 (6 - T)/24, P_2 = T^4 (2 + 28T - 23T^2 + 9T^3 - T^4)/48
     p1, p2 = ([Fraction(c, den) for c in coeffs]
-              for coeffs, den in _wright_polys(2))
+              for _, coeffs, den in (genfun_engine._wright(k)[1] for k in (1, 2)))
     assert p1 == [0] * 4 + [Fraction(c, 24) for c in (6, -1)]
     assert p2 == [0] * 4 + [Fraction(c, 48) for c in (2, 28, -23, 9, -1)]
-    for k, (coeffs, den) in enumerate(_wright_polys(7), start=1):
+    for k in range(1, 8):
+        level, coeffs, den = genfun_engine._wright(k)[1]
+        assert level == 3 * k
         assert len(coeffs) == 3 * k + 3 and coeffs[-1] != 0
         assert math.gcd(den, *coeffs) == 1
 
@@ -148,7 +151,7 @@ def derivative_values(taylor):
 
 
 def test_wright_jets_match_convolution():
-    ref = _convolution_jets(400, 1, 9, None)
+    ref = convolution_jets(400, 1, 9)
     lengths = list(range(0, 121)) + [400]
     got = jet_many([(n, 1) for n in lengths], 8)
     for n in lengths:
@@ -160,10 +163,10 @@ SHIFT_GRID = [(n, a) for n in range(0, 61) for a in range(0, 11)]
 
 @functools.lru_cache(maxsize=None)
 def shift_grid_reference():
-    return triangle_jets(SHIFT_GRID, 6)
+    return reference_jets(SHIFT_GRID, 8)
 
 
-@pytest.mark.parametrize("order", range(0, 7))
+@pytest.mark.parametrize("order", range(0, 9))
 def test_shifted_jets_match_convolution_reference(order):
     want = shift_grid_reference()
     got = jet_many(SHIFT_GRID, order)
@@ -171,28 +174,66 @@ def test_shifted_jets_match_convolution_reference(order):
         assert got[state].values == want[state][:order + 1], state
 
 
-def test_short_lengths_at_high_order_skip_the_seed(monkeypatch):
-    # Wright's P_1..P_{K-1} need the convolution at n = 3K-2, which costs
-    # more than convolving to every length at or below it
-    def refuse(top):
-        raise AssertionError("no length here exceeds the seed size")
+def test_short_lengths_at_high_order_stop_at_the_degree(monkeypatch):
+    # orders above deg Q(n,a) = n(2a+n-3)/2 are zeros, so no shift table is
+    # built past the degree of its longest state
+    tops = []
+    shift_table = genfun_engine._shift_table
 
-    monkeypatch.setattr(genfun_engine, "_wright_polys", refuse)
+    def recorded(a, top):
+        tops.append(top)
+        return shift_table(a, top)
+
+    monkeypatch.setattr(genfun_engine, "_shift_table", recorded)
     for n, a, order in [(3, 1, 50), (10, 1, 30), (5, 3, 30)]:
         expected = area_genfun(n, a).poly.derivatives_at_one(order)
         assert jet_at_one(n, a, order).values == expected
+        assert tops.pop() == min(order, max_area(n, a))
 
 
 @functools.lru_cache(maxsize=None)
-def convolution_jets(n_max, width):
-    return _convolution_jets(n_max, 1, width, None)
+def classical_convolution(n_max, width):
+    return convolution_jets(n_max, 1, width)
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(0, 150), order=st.integers(0, 8))
 def test_wright_jets_equal_convolution_property(n, order):
-    expected = derivative_values(convolution_jets(150, 9)[n][:order + 1])
+    expected = derivative_values(classical_convolution(150, 9)[n][:order + 1])
     assert jet_at_one(n, 1, order).values == expected
+
+
+@functools.lru_cache(maxsize=None)
+def shift_reference(a):
+    return reference_jets([(n, a) for n in range(0, 61)], 8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(0, 60),
+       a=st.one_of(st.integers(0, 12), st.sampled_from([17, 40, 100, 300])),
+       order=st.integers(0, 8))
+def test_jets_equal_convolution_reference_property(n, a, order):
+    expected = shift_reference(a)[(n, a)][:order + 1]
+    assert jet_at_one(n, a, order).values == expected
+
+
+def test_jets_equal_convolution_reference_sparse_and_long():
+    sparse = [(n, a) for n in range(0, 25) for a in (17, 40, 100, 300)]
+    long = [(100, 2), (200, 5), (150, 300)]
+    targets = sparse + long
+    got = jet_many(targets, 8)
+    want = reference_jets(targets, 8)
+    for state in targets:
+        assert got[state].values == want[state], state
+
+
+def test_long_shifted_jets_golden():
+    # sha256 of the values the O(n^2 K^2) convolution gives; it takes
+    # several seconds per state at n = 400, too slow to run as the reference
+    got = jet_many([(400, 2), (400, 300)], 8)
+    blob = repr([got[state].values for state in sorted(got)]).encode()
+    assert hashlib.sha256(blob).hexdigest() == \
+        "07482edd5b690c7cfb2033c03649b155f8b09d461be2a2d5c01af812293f1e9c"
 
 
 def _pmul(p: PolyX, q: PolyX) -> PolyX:
@@ -232,19 +273,8 @@ def test_production_paths_avoid_the_triangle(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("the triangle kernels are test-only cross-checks")
 
-    convolution = genfun_engine._convolution_jets
-
-    def seed_only(n_max, a, width, at_one):
-        # at a = 1, Wright's P_1..P_{K-1} need jets at n <= 3K-2, K = width - 1,
-        # and no shorter request convolves further; every a > 1 convolves
-        assert a > 1 or n_max <= 3 * (width - 1) - 2, \
-            "the convolution at a = 1 is a test reference"
-        return convolution(n_max, a, width, at_one)
-
     monkeypatch.setattr(backend.kernels, "jet_step", refuse)
     monkeypatch.setattr(backend.kernels, "count_step", refuse)
-    monkeypatch.setattr(genfun_engine, "_convolution_jets", seed_only)
-    genfun_engine._wright_derivatives.cache_clear()
     assert jet_many([(12, 1), (7, 3)], 4)[(12, 1)].values[0] == 13 ** 11
     assert jet_many([(400, 1)], 8)[(400, 1)].values[0] == 401 ** 399
     assert moment_table(30, 2, 4).factorial[0] > 0
