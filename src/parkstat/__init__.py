@@ -1,8 +1,8 @@
 """parkstat: exact statistics of (a-)parking functions.
 
-Counts, area generating polynomials, factorial moments, closed-form fits by
-undetermined coefficients, and the Airy-distribution limit check -- all in
-exact big-integer / rational arithmetic.
+Counts, area generating polynomials, factorial moments, closed-form moment
+identities derived from the jets, and the Airy-distribution limit check --
+all in exact big-integer / rational arithmetic.
 """
 
 from .airy import AiryMoment, airy_moments, asymptotic_check

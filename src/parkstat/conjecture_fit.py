@@ -1,23 +1,51 @@
-"""Undetermined-coefficients fitting of factorial-moment identities.
+"""Factorial-moment identities E_k = A_k + B_k * E_1, derived and re-checked.
 
-Target shape: for each moment order k there are polynomials A_k and B_k
-(in n alone, or in n and a) with
+For each moment order k there are polynomials A_k and B_k (in n alone, or
+in n and a) with
 
     E_k = A_k + B_k * E_1
 
 exactly, where E_k is the k-th factorial moment of the area statistic and
-E_1 its expectation.  The fit cranks out exact moment data on a sample
-grid, solves the resulting linear system over the rationals, and then
-verifies the identity on held-out points; since both sides are polynomial
-identities in (n, a) once E_1 is adjoined, exact verification at enough
-points is a proof.
+E_1 its expectation.  They are derived from the jet engine's Wright-Abel
+sums (_shift_identity).  Entry k of the shift table of a
+(genfun_engine._shift_table) is (L, p, d), and Taylor coefficient k of
+Q(n,a) at x = 1 is sum_j p_j S_L(j)/d, where S_L(j) is the L-fold suffix
+sum at j of g_l = n^{falling l} b^{n-l}, b = a+n.  The weight of g_l there,
+times (L-1)!, is the polynomial
 
-Degree bounds follow the empirical pattern deg A = floor(3k/2),
-deg B = floor(3(k-1)/2) for fits in n alone; the two-symbol identities need
-total degrees 3k-1 and 3(k-1) (measured at k = 2, 3: the shift direction
+    (l-j+L-1)^{falling L-1} = sum_r C(L-1, r) (L-1-j)^{falling L-1-r} l^{falling r}
+
+(Vandermonde), except at the head: the suffix sum starts at l = j, so
+e_l = sum_{j>l} p_j (l-j+L-1)^{falling L-1} comes off g_l.  The product
+vanishes for 0 < j-l < L, and p has at most L+2 entries (every table up to
+k = 12 and a = 40 was checked), so only l = 0 and l = 1 carry a head.  The
+moment sums G_r = sum_l l^{falling r} g_l obey, by (n-l) g_l = b g_{l+1},
+
+    G_0 = S,  G_1 = b^{n+1} - a S,  G_{r+1} = -(2r+a) G_r + r(n+1-r) G_{r-1},
+
+so G_r = alpha_r b^n + beta_r S with alpha_r, beta_r integer polynomials in
+n.  Summing the weights gives the coefficient as (alpha b^n + beta S) /
+(d (L-1)!), with alpha = sum_r w_r alpha_r - e_0 - e_1 n/b.  moment_lab's
+E_1 gives S = b^{n-1} (2 E_1 - n(a-2) + b), and the count is a b^{n-1}, so
+
+    A_k = c (alpha b + beta (b - n(a-2))),  B_k = 2 c beta,  c = k!/(a d (L-1)!).
+
+In n alone that is the shift a = 1.  In (n, a) the per-shift polynomials
+are interpolated in a over shifts 1..3k, as A_k and B_k have total degree
+at most 3k-1 (the re-check grid runs past the nodes, to shift 3k+1).
+Wright's recurrence, Lagrange inversion and the shift decomposition are
+theorems, so this is a derivation, not a fit.  It is still re-checked
+exactly against the jets and the closed-form E_1 on the sample grid and
+holdout the dense fit would use (so the reported grid is unchanged); a
+miss is status "inconsistent" with that point as witness.
+
+An explicit MomentAnsatz too narrow for the derived identity keeps the
+undetermined-coefficients fit: an exact solve (solve_exact) on the sample
+grid, verified on the holdout.  A failed fit escalates both degree bounds
+once (+1) and then fails loudly rather than silently widening further.
+The default bounds are deg A = floor(3k/2), deg B = floor(3(k-1)/2) in n
+alone, and total degrees 3k-1 and 3(k-1) in (n, a) (the shift direction
 carries degree up to 3k-2, e.g. the n*a^4 term in the second-moment A).
-A failed fit escalates both bounds once (+1) and then fails loudly rather
-than silently widening further.
 """
 
 from __future__ import annotations
@@ -26,8 +54,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exactalg import (Inconsistent, LinSys, RatLike, SymPoly, TwoPiPow,
-                       Underdetermined, UniqueSolution, rat_str, solve_exact)
-from .genfun_engine import jet_many
+                       Underdetermined, UniqueSolution, binomial,
+                       falling_factorial, interpolate, rat_str, solve_exact)
+from .genfun_engine import _shift_table, jet_many
 from .moment_lab import expectation_area
 
 HOLDOUT_MARGIN = 5
@@ -80,7 +109,7 @@ class MomentAnsatz(NamedTuple):
 
 
 class FitResult:
-    """Outcome of one undetermined-coefficients fit.
+    """Outcome of one moment identity, derived or fitted.
 
     status "verified" means the identity E_k = A + B*E_1 holds exactly at
     every sample and every holdout point.  On failure, `witness` carries
@@ -112,8 +141,7 @@ class FitResult:
         return f"FitResult({fields})"
 
     def predicted(self, n: int, a: int, e1: Fraction) -> Fraction:
-        point = {"n": Fraction(n), "a": Fraction(a)}
-        point = {s: point[s] for s in self.symbols}
+        point = {"n": n, "a": a}
         return self.a_poly.eval(point) + self.b_poly.eval(point) * e1
 
     def theorem_text(self) -> str:
@@ -211,12 +239,9 @@ def _attempt(ansatz: MomentAnsatz, samples, holdout, data):
                      dict(zip(ansatz.basis_a, sol.values[:na])))
     b_poly = SymPoly(ansatz.symbols,
                      dict(zip(ansatz.basis_b, sol.values[na:])))
-    for n, a in holdout:
-        ek, e1 = data[(n, a)]
-        point = {s: Fraction(v) for s, v in zip(("n", "a"), (n, a))
-                 if s in ansatz.symbols}
-        if a_poly.eval(point) + b_poly.eval(point) * e1 != ek:
-            return "inconsistent", (n, a), None, None
+    miss = _first_miss(a_poly, b_poly, holdout, data)
+    if miss:
+        return "inconsistent", miss, None, None
     return "verified", None, a_poly, b_poly
 
 
@@ -240,28 +265,113 @@ def _inconsistency_witness(ansatz, samples, data):
     return samples[0]
 
 
+def _first_miss(a_poly: SymPoly, b_poly: SymPoly, points: list[tuple[int, int]],
+                data: dict) -> tuple[int, int] | None:
+    """The first point where A + B*E_1 differs from E_k, if any."""
+    for n, a in points:
+        ek, e1 = data[(n, a)]
+        point = {"n": n, "a": a}
+        if a_poly.eval(point) + b_poly.eval(point) * e1 != ek:
+            return (n, a)
+    return None
+
+
+def _moment_sum(weights: list[int], x: list[int], y: list[int], a: int) -> list[int]:
+    """sum_r w_r x_r, where x_0 = x, x_1 = y and
+    x_{r+1} = -(2r+a) x_r + r(n+1-r) x_{r-1}, as coefficient lists in n."""
+    total = [0] * (len(weights) // 2 + 2)  # deg x_r <= (r+1)/2
+    for r, w in enumerate(weights):
+        for i, c in enumerate(x):
+            total[i] += w * c
+        z = [-(2 * r + 2 + a) * c for c in y] + [0] * (len(x) + 1 - len(y))
+        for i, c in enumerate(x):
+            z[i] -= (r + 1) * r * c
+            z[i + 1] += (r + 1) * c
+        x, y = y, z
+    return total
+
+
+def _shift_identity(k: int, a: int) -> tuple[list[Fraction], list[Fraction]]:
+    """A_k and B_k at shift a, as coefficient lists in n (module docstring)."""
+    L, p, d = _shift_table(a, k)[k]
+    m = L - 1
+    weights = [0] * L  # w_r of l^{falling r}
+    for j, c in enumerate(p):
+        for s in range(L):  # c = p_j (m-j)^{falling s}, for r = m-s
+            weights[m - s] += c
+            c *= m - j - s
+    weights = [binomial(m, r) * w for r, w in enumerate(weights)]
+    alpha = _moment_sum(weights, [0], [a, 1], a)  # G_0 = S, G_1 = b^{n+1} - a S
+    beta = _moment_sum(weights, [1], [-a], a)
+    e0, e1 = (sum(c * falling_factorial(l - j + m, m) for j, c in enumerate(p) if j > l)
+              for l in (0, 1))
+    alpha[0] -= e0
+    num = [0] * (len(alpha) + 1)  # alpha b + beta (b - n(a-2)) - e1 n
+    for i, (x, y) in enumerate(zip(alpha, beta)):
+        num[i] += a * (x + y)
+        num[i + 1] += x + (3 - a) * y
+    num[1] -= e1
+    den = a * d * falling_factorial(m, m)
+    k_fact = falling_factorial(k, k)
+    return ([Fraction(k_fact * c, den) for c in num],
+            [Fraction(2 * k_fact * c, den) for c in beta])
+
+
+def _derive(k: int, symbols: tuple[str, ...]) -> tuple[SymPoly, SymPoly]:
+    """(A_k, B_k) in `symbols`: the shift a = 1, or shifts 1..3k interpolated."""
+    if symbols == ("n",):
+        return tuple(SymPoly(symbols, {(i,): c for i, c in enumerate(coeffs)})
+                     for coeffs in _shift_identity(k, 1))
+    shifts = [_shift_identity(k, a) for a in range(1, 3 * k + 1)]
+    polys = []
+    for part in zip(*shifts):  # A at every shift, then B
+        terms = {}
+        for i in range(max(map(len, part))):
+            column = [coeffs[i] if i < len(coeffs) else 0 for coeffs in part]
+            for j, c in enumerate(interpolate(column)):
+                terms[(i, j)] = c
+        polys.append(SymPoly(symbols, terms))
+    return polys[0], polys[1]
+
+
+def _within(poly: SymPoly, degree: int) -> bool:
+    return all(sum(exps) <= degree for exps in poly.terms)
+
+
 def fit_moment(k: int, ansatz: MomentAnsatz | None = None,
                general_a: bool = False, n_max: int | None = None) -> FitResult:
-    """Fit E_k = A + B*E_1 by exact undetermined coefficients.
+    """E_k = A + B*E_1, derived from the Wright-Abel sums and re-checked.
 
-    The sample system is overdetermined by HOLDOUT_MARGIN rows (exact
-    elimination of the extra rows is itself a consistency check) and the
-    solution is then verified on HOLDOUT_MARGIN fresh points beyond the
-    sample grid.  An inconsistent attempt escalates the degree bounds once;
-    a second failure is reported, never papered over.
+    The derived A and B stand when they fit the ansatz's degree bounds and
+    reproduce E_k exactly at every sample and holdout point; a miss is
+    status "inconsistent" with the first failing point as witness.  An
+    ansatz too narrow for them gets the dense fit instead: the sample
+    system is overdetermined by HOLDOUT_MARGIN rows (exact elimination of
+    the extra rows is itself a consistency check) and the solution is then
+    verified on HOLDOUT_MARGIN fresh points beyond the sample grid.  An
+    inconsistent dense attempt escalates the degree bounds once; a second
+    failure is reported, never papered over.
     """
+    if k < 1:
+        raise ValueError("need k >= 1")
     ansatz = ansatz or MomentAnsatz.default(k, general_a)
+    a_poly, b_poly = _derive(k, ansatz.symbols)
+    derived = _within(a_poly, ansatz.deg_a) and _within(b_poly, ansatz.deg_b)
     escalated = False
     while True:
         samples, holdout = _default_points(ansatz, n_max)
         data = _moment_data(samples + holdout, k)
-        status, witness, a_poly, b_poly = _attempt(ansatz, samples, holdout, data)
+        if derived:
+            witness = _first_miss(a_poly, b_poly, samples + holdout, data)
+            status = "inconsistent" if witness else "verified"
+        else:
+            status, witness, a_poly, b_poly = _attempt(ansatz, samples, holdout, data)
         if status == "verified":
             return FitResult(k=k, symbols=ansatz.symbols, a_poly=a_poly,
                              b_poly=b_poly, samples_used=samples,
                              holdout_verified=list(holdout), status="verified",
                              ansatz=ansatz, escalated=escalated)
-        if status == "inconsistent" and not escalated:
+        if status == "inconsistent" and not (derived or escalated):
             ansatz = ansatz.escalated()
             escalated = True
             continue
@@ -276,12 +386,10 @@ def verify_fit(fit: FitResult, extra_points: list[tuple[int, int]]) -> bool:
     """Exact re-check of a verified fit at additional (n, a) points."""
     if fit.status != "verified":
         raise ValueError("verify_fit needs a verified fit")
-    data = _moment_data(list(extra_points), fit.k)
-    for n, a in extra_points:
-        ek, e1 = data[(n, a)]
-        if fit.predicted(n, a, e1) != ek:
-            return False
-    fit.holdout_verified.extend(extra_points)
+    points = list(extra_points)
+    if _first_miss(fit.a_poly, fit.b_poly, points, _moment_data(points, fit.k)):
+        return False
+    fit.holdout_verified.extend(points)
     return True
 
 

@@ -20,9 +20,10 @@ result.  The building blocks are:
 
 PolyX and SymPoly are containers with evaluation, not an algebra: the engines
 build their coefficients directly (PolyX from the area sweep, SymPoly from
-count_symbolic's coefficient lists and from the fitted solution vectors), and
-the classes hold, read, evaluate, reverse and print them.  Neither adds or
-multiplies polynomials.
+count_symbolic's coefficient lists, the derived moment identities and the
+fitted solution vectors), and the classes hold, read, evaluate, reverse and
+print them.  Neither adds or multiplies polynomials.  `interpolate` turns
+values at x = 1..m into coefficients.
 
 Decimal strings only appear at the output boundary (to_sig_str, sqrt_decimal),
 with an explicit number of significant digits.  All values are immutable
@@ -64,6 +65,28 @@ def falling_factorial(x: int, t: int) -> int:
     for i in range(t):
         out *= x - i
     return out
+
+
+def interpolate(values: Sequence[RatLike]) -> list[Fraction]:
+    """Coefficients of the polynomial of degree < len(values) that takes
+    values[i] at x = i + 1, lowest power first.
+
+    Newton's forward form p(x) = sum_j (Delta^j p)(1) (x-1)^{falling j}/j!,
+    run in integers over one common denominator: the lcm of the values'
+    denominators times (m-1)!, which every j! here divides.
+    """
+    m = len(values)
+    den = math.lcm(*(v.denominator for v in values)) * math.factorial(max(m - 1, 0))
+    diffs = [v.numerator * (den // v.denominator) for v in values]
+    coeffs = [0] * m
+    falling = [1]  # (x-1)^{falling j}, lowest power first
+    for j in range(m):
+        scale = diffs[0] // math.factorial(j)
+        for i, c in enumerate(falling):
+            coeffs[i] += scale * c
+        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+        falling = [x - (j + 1) * y for x, y in zip([0] + falling, falling + [0])]
+    return [Fraction(c, den) for c in coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +175,7 @@ class SymPoly:
     coefficients; the symbol set is fixed at construction.
     """
 
-    __slots__ = ("symbols", "terms")
+    __slots__ = ("symbols", "terms", "_common")
 
     def __init__(self, symbols: Sequence[str],
                  terms: Mapping[tuple[int, ...], RatLike] | None = None):
@@ -164,8 +187,14 @@ class SymPoly:
             c = Fraction(c)
             if c:
                 clean[tuple(exps)] = c
+        den = math.lcm(*(c.denominator for c in clean.values()))
         object.__setattr__(self, "symbols", syms)
         object.__setattr__(self, "terms", clean)
+        # for eval: the denominator, each symbol's top power, and the
+        # integer numerators over that denominator
+        object.__setattr__(self, "_common", (
+            den, [max((e[i] for e in clean), default=0) for i in range(len(syms))],
+            [(exps, c.numerator * (den // c.denominator)) for exps, c in clean.items()]))
 
     def __setattr__(self, name, value):
         raise AttributeError("SymPoly is immutable")
@@ -179,18 +208,27 @@ class SymPoly:
         return not self.terms
 
     def eval(self, point: Mapping[str, RatLike]) -> Fraction:
+        """Value at `point`: one sum over the common denominator.
+
+        At integer points every term is an integer product of cached
+        powers, and only the final quotient is a Fraction.
+        """
         missing = [s for s in self.symbols if s not in point]
         if missing:
             raise ValueError(f"missing assignment for symbols {missing}")
-        vals = [Fraction(point[s]) for s in self.symbols]
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            term = c
-            for v, e in zip(vals, exps):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
+        den, tops, scaled = self._common
+        powers = []
+        for s, top in zip(self.symbols, tops):
+            row = [1]
+            for _ in range(top):
+                row.append(row[-1] * point[s])
+            powers.append(row)
+        total = 0
+        for exps, c in scaled:
+            for row, e in zip(powers, exps):
+                c *= row[e]
+            total += c
+        return Fraction(total, den)
 
     def degree_in(self, symbol: str) -> int | None:
         if not self.terms:

@@ -1,10 +1,16 @@
-"""Tests for the undetermined-coefficients moment fits."""
+"""Tests for the moment identities: derived, re-checked, and the dense fit."""
 
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from parkstat.conjecture_fit import (MomentAnsatz, fit_moment,
+from parkstat import conjecture_fit
+from parkstat.cli import main as cli_main
+from parkstat.conjecture_fit import (MomentAnsatz, _attempt, _default_points,
+                                     _moment_data, fit_moment,
                                      leading_asymptotics, verify_fit)
 from parkstat.exactalg import SymPoly
 
@@ -99,7 +105,6 @@ def test_fit_general_a_restricts_to_classical():
 
 
 def test_fit_general_a_k5_restricts_to_classical():
-    # 211 unknowns: the largest two-symbol system the suite solves
     fit = fit_moment(5, general_a=True)
     assert fit.status == "verified"
     assert not fit.escalated
@@ -107,6 +112,77 @@ def test_fit_general_a_k5_restricts_to_classical():
     assert classical.status == "verified"
     assert _at_a_one(fit.a_poly) == classical.a_poly
     assert _at_a_one(fit.b_poly) == classical.b_poly
+
+
+def dense_fit(k: int, general_a: bool) -> tuple[SymPoly, SymPoly]:
+    """The undetermined-coefficients solve on the default grid: the
+    independent reference for the derived identities."""
+    ansatz = MomentAnsatz.default(k, general_a)
+    samples, holdout = _default_points(ansatz)
+    data = _moment_data(samples + holdout, k)
+    status, _, a_poly, b_poly = _attempt(ansatz, samples, holdout, data)
+    assert status == "verified"
+    return a_poly, b_poly
+
+
+@pytest.mark.parametrize("k,general_a",
+                         [(k, True) for k in range(1, 6)]
+                         + [(k, False) for k in range(1, 9)])
+def test_derived_identity_equals_dense_solve(k, general_a):
+    # k = 5 in (n, a) is 211 unknowns, the largest system the suite solves
+    fit = fit_moment(k, general_a=general_a)
+    assert fit.status == "verified" and not fit.escalated
+    assert (fit.a_poly, fit.b_poly) == dense_fit(k, general_a)
+
+
+def test_fit_general_a_k8_restricts_to_classical():
+    fit = fit_moment(8, general_a=True)
+    assert fit.status == "verified"
+    assert len(fit.samples_used) == 625 and len(fit.holdout_verified) == 25
+    classical = fit_moment(8)
+    assert _at_a_one(fit.a_poly) == classical.a_poly
+    assert _at_a_one(fit.b_poly) == classical.b_poly
+
+
+@functools.lru_cache(maxsize=None)
+def general_fit(k: int):
+    return fit_moment(k, general_a=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 6), n=st.integers(1, 80), a=st.integers(1, 30))
+def test_derived_identity_holds_off_the_grid(k, n, a):
+    assert verify_fit(general_fit(k), [(n, a)])
+
+
+def test_default_fits_reach_no_solve(monkeypatch):
+    def refuse(sys):
+        raise AssertionError("the dense solve ran")
+
+    monkeypatch.setattr(conjecture_fit, "solve_exact", refuse)
+    for k in (1, 3, 6):
+        assert fit_moment(k).status == "verified"
+        assert fit_moment(k, general_a=True).status == "verified"
+
+
+def test_derived_identity_that_misses_is_reported(monkeypatch, capsys):
+    # a derived identity that fails its re-check is exit 4 with the first
+    # failing grid point, and no identity is printed
+    derive = conjecture_fit._derive
+
+    def off_by_one(k, symbols):
+        a_poly, b_poly = derive(k, symbols)
+        terms = dict(a_poly.terms)
+        terms[(0,) * len(symbols)] = terms.get((0,) * len(symbols), 0) + 1
+        return SymPoly(symbols, terms), b_poly
+
+    monkeypatch.setattr(conjecture_fit, "_derive", off_by_one)
+    fit = fit_moment(3)
+    assert (fit.status, fit.witness) == ("inconsistent", (1, 1))
+    assert fit.a_poly.is_zero() and fit.b_poly.is_zero()
+    assert not fit.holdout_verified
+    assert cli_main(["fit", "--k", "3", "--general-a"]) == 4
+    assert capsys.readouterr().out == "fit failed: inconsistent, witness (1, 1)\n"
 
 
 def test_fit_general_a_key_coefficients():
@@ -153,8 +229,6 @@ def test_fit_escalation_rescues_one_degree_shortfall():
 
 
 def test_attempt_reports_underdetermined_on_degenerate_samples():
-    from parkstat.conjecture_fit import _attempt, _moment_data
-
     ansatz = MomentAnsatz(k=1, symbols=("n",), deg_a=1, deg_b=0)
     samples = [(2, 1)] * 5  # one distinct point cannot pin three unknowns
     data = _moment_data(samples, 1)

@@ -12,7 +12,8 @@ from parkstat import exactalg
 from parkstat.exactalg import (_PRIMES, Inconsistent, LinSys, PolyX, SymPoly, TwoPiPow,
                                Underdetermined, UniqueSolution, _gauss_jordan,
                                _pi_decimal, _solve_modular, binomial, binomial_rows,
-                               rat_str, solve_exact, to_sig_str, sqrt_decimal)
+                               interpolate, rat_str, solve_exact, to_sig_str,
+                               sqrt_decimal)
 
 
 @pytest.mark.parametrize("n,k,expected", [(4, 2, 6), (7, 0, 1), (5, 9, 0)])
@@ -287,6 +288,27 @@ def test_sympoly_eval_examples():
     # two symbols: n^2 a - 3a at (n, a) = (2, 5) -> 5
     s = SymPoly(("n", "a"), {(2, 1): 1, (0, 1): -3})
     assert s.eval({"n": 2, "a": 5}) == 5
+
+
+POINTS = st.one_of(st.integers(-30, 30), st.fractions(max_denominator=9))
+
+
+@settings(max_examples=80, deadline=None)
+@given(terms=st.dictionaries(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                             st.fractions(max_denominator=60), max_size=10),
+       n=POINTS, a=POINTS)
+def test_sympoly_eval_matches_term_by_term_sum(terms, n, a):
+    want = sum((c * Fraction(n) ** i * Fraction(a) ** j
+                for (i, j), c in terms.items()), Fraction(0))
+    assert SymPoly(("n", "a"), terms).eval({"n": n, "a": a}) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=st.lists(st.fractions(max_denominator=40), max_size=12))
+def test_interpolate_recovers_the_polynomial(coeffs):
+    values = [sum((c * x ** i for i, c in enumerate(coeffs)), Fraction(0))
+              for x in range(1, len(coeffs) + 1)]
+    assert interpolate(values) == coeffs
 
 
 def test_sympoly_missing_symbol_errors():
