@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import airy as airy_mod
-from .conjecture_fit import MomentAnsatz, fit_moment
+from .conjecture_fit import fit_moment
 from .counting_engine import count, count_symbolic, verify_closed_form
 from .errors import BudgetExceeded
 from .exactalg import rat_str
@@ -111,9 +111,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    ansatz = MomentAnsatz.default(args.k, args.general_a)
-    fit = fit_moment(args.k, ansatz=ansatz, general_a=args.general_a,
-                     n_max=args.n_max)
+    fit = fit_moment(args.k, general_a=args.general_a, n_max=args.n_max)
     if args.fmt == "json":
         text = json.dumps(fit.to_json_obj())
     elif args.fmt == "csv":
@@ -281,7 +279,7 @@ _COMMANDS = {
     "count": (cmd_count, "count a-parking functions", ("n", "a", "symbolic")),
     "genfun": (cmd_genfun, "area generating polynomial", ("n", "a", "budget")),
     "moments": (cmd_moments, "exact moment table", ("n", "a", "k")),
-    "fit": (cmd_fit, "fit E_k = A + B*E_1 by undetermined coefficients",
+    "fit": (cmd_fit, "derive E_k = A + B*E_1 and re-check it exactly",
             ("k", "general-a", "n-max")),
     "airy": (cmd_airy, "Airy moment convergence report", ("k", "grid")),
     "hist": (cmd_hist, "area histogram (optionally scaled)",

@@ -36,16 +36,13 @@ at most 3k-1 (the re-check grid runs past the nodes, to shift 3k+1).
 Wright's recurrence, Lagrange inversion and the shift decomposition are
 theorems, so this is a derivation, not a fit.  It is still re-checked
 exactly against the jets and the closed-form E_1 on the sample grid and
-holdout the dense fit would use (so the reported grid is unchanged); a
-miss is status "inconsistent" with that point as witness.
-
-An explicit MomentAnsatz too narrow for the derived identity keeps the
-undetermined-coefficients fit: an exact solve (solve_exact) on the sample
-grid, verified on the holdout.  A failed fit escalates both degree bounds
-once (+1) and then fails loudly rather than silently widening further.
-The default bounds are deg A = floor(3k/2), deg B = floor(3(k-1)/2) in n
-alone, and total degrees 3k-1 and 3(k-1) in (n, a) (the shift direction
-carries degree up to 3k-2, e.g. the n*a^4 term in the second-moment A).
+holdout that the output reports (_default_points).  The degree bounds are
+deg A = floor(3k/2), deg B = floor(3(k-1)/2) in n alone, and total degrees
+3k-1 and 3(k-1) in (n, a) (the shift direction carries degree up to 3k-2,
+e.g. the n*a^4 term in the second-moment A).  A derived pair outside the
+bounds, or one that misses a grid point, is status "inconsistent"; the
+bounds are never widened.  The undetermined-coefficients solve on the same
+grid is the tests' independent reference (tests/reference.py).
 """
 
 from __future__ import annotations
@@ -53,9 +50,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactalg import (Inconsistent, LinSys, RatLike, SymPoly, TwoPiPow,
-                       Underdetermined, UniqueSolution, binomial,
-                       falling_factorial, interpolate, rat_str, solve_exact)
+from .exactalg import (SymPoly, TwoPiPow, binomial, falling_factorial,
+                       interpolate, rat_str)
 from .genfun_engine import _shift_table, jet_many
 from .moment_lab import expectation_area
 
@@ -63,11 +59,11 @@ HOLDOUT_MARGIN = 5
 
 
 class MomentAnsatz(NamedTuple):
-    """Basis layout for one fit: symbols plus degree bounds for A and B.
+    """Degree bounds of one identity: symbols plus the bounds for A and B.
 
-    Monomials are ordered by total degree then lexicographically in the
-    exponent tuple, so the system layout (and hence the fit output) is
-    deterministic.  For two symbols the bound applies to total degree.
+    For two symbols the bounds apply to total degree; `unknowns` counts the
+    monomials under them, the size of the grid's undetermined-coefficients
+    system.
     """
 
     k: int
@@ -85,36 +81,21 @@ class MomentAnsatz(NamedTuple):
         return cls(k=k, symbols=("n",),
                    deg_a=(3 * k) // 2, deg_b=(3 * (k - 1)) // 2)
 
-    def escalated(self) -> MomentAnsatz:
-        return MomentAnsatz(self.k, self.symbols, self.deg_a + 1, self.deg_b + 1)
-
-    def _monomials(self, deg: int) -> list[tuple[int, ...]]:
-        if len(self.symbols) == 1:
-            exps = [(d,) for d in range(deg + 1)]
-        else:
-            exps = [(i, j) for i in range(deg + 1) for j in range(deg + 1 - i)]
-        return sorted(exps, key=lambda e: (sum(e), e))
-
-    @property
-    def basis_a(self) -> list[tuple[int, ...]]:
-        return self._monomials(self.deg_a)
-
-    @property
-    def basis_b(self) -> list[tuple[int, ...]]:
-        return self._monomials(self.deg_b)
-
     @property
     def unknowns(self) -> int:
-        return len(self.basis_a) + len(self.basis_b)
+        s = len(self.symbols)
+        return binomial(self.deg_a + s, s) + binomial(self.deg_b + s, s)
 
 
 class FitResult:
-    """Outcome of one moment identity, derived or fitted.
+    """Outcome of one derived moment identity.
 
-    status "verified" means the identity E_k = A + B*E_1 holds exactly at
-    every sample and every holdout point.  On failure, `witness` carries
-    the offending sample point (inconsistent) or the pivotless column index
-    (underdetermined).  Mutable: verify_fit extends `holdout_verified`.
+    status "verified" means the identity E_k = A + B*E_1 lies within the
+    degree bounds and holds exactly at every sample and every holdout
+    point.  Otherwise status is "inconsistent", A and B are zero, and
+    `witness` is the first failing point, or None when only the bounds were
+    exceeded.  `escalated` is always False; it stays for the JSON schema.
+    Mutable: verify_fit extends `holdout_verified`.
     """
 
     __slots__ = ("k", "symbols", "a_poly", "b_poly", "samples_used",
@@ -124,7 +105,7 @@ class FitResult:
                  b_poly: SymPoly, samples_used: list[tuple[int, int]],
                  holdout_verified: list[tuple[int, int]], status: str,
                  ansatz: MomentAnsatz, escalated: bool = False,
-                 witness: tuple[int, int] | int | None = None) -> None:
+                 witness: tuple[int, int] | None = None) -> None:
         self.k = k
         self.symbols = symbols
         self.a_poly = a_poly
@@ -166,20 +147,20 @@ class FitResult:
             "B": terms(self.b_poly),
             "samples": [list(p) for p in self.samples_used],
             "holdout": [list(p) for p in self.holdout_verified],
-            "witness": list(self.witness) if isinstance(self.witness, tuple)
-                       else self.witness,
+            "witness": list(self.witness) if self.witness else None,
         }
 
 
 def _default_points(ansatz: MomentAnsatz,
                     n_max: int | None = None) -> tuple[list, list]:
-    """(samples, holdout) grids for an ansatz; see the sample-grid note.
+    """(samples, holdout): the re-check grid, which the output reports.
 
     Single symbol: n = 1..(unknowns + HOLDOUT_MARGIN) at a = 1, holdout the
     next HOLDOUT_MARGIN values of n.  Two symbols: a cross grid of n rows
-    against shifts 1..(degree bound + 2) -- the shift axis must offer more
-    distinct values than any fitted power of a, or the system goes
-    rank-deficient.
+    against shifts 1..(degree bound + 2).  The samples overdetermine the
+    ansatz's undetermined-coefficients system by HOLDOUT_MARGIN rows, and
+    the shift axis offers more distinct values than any power of a under
+    the bounds, so that system has a unique solution on this grid.
     """
     u = ansatz.unknowns
     if ansatz.symbols == ("n",):
@@ -205,64 +186,6 @@ def _moment_data(points: list[tuple[int, int]], k: int,
         ek = Fraction(values[k], values[0])
         data[(n, a)] = (ek, expectation_area(n, a))
     return data
-
-
-def _eval_mono(exps: tuple[int, ...], symbols: tuple[str, ...],
-               n: int, a: int) -> int:
-    vals = {"n": n, "a": a}
-    out = 1
-    for s, e in zip(symbols, exps):
-        out *= vals[s] ** e
-    return out
-
-
-def _row(ansatz: MomentAnsatz, n: int, a: int, e1: Fraction) -> list[RatLike]:
-    """Coefficients of the unknowns in E_k(n,a) = A(n,a) + B(n,a) E_1(n,a)."""
-    row: list[RatLike] = [_eval_mono(e, ansatz.symbols, n, a) for e in ansatz.basis_a]
-    row += [_eval_mono(e, ansatz.symbols, n, a) * e1 for e in ansatz.basis_b]
-    return row
-
-
-def _attempt(ansatz: MomentAnsatz, samples, holdout, data):
-    sysm = LinSys(ansatz.unknowns)
-    for n, a in samples:
-        ek, e1 = data[(n, a)]
-        sysm.add_row(_row(ansatz, n, a, e1), ek)
-    sol = solve_exact(sysm)
-    if isinstance(sol, Underdetermined):
-        return "underdetermined", sol.free_column, None, None
-    if isinstance(sol, Inconsistent):
-        return "inconsistent", _inconsistency_witness(ansatz, samples, data), None, None
-    assert isinstance(sol, UniqueSolution)
-    na = len(ansatz.basis_a)
-    a_poly = SymPoly(ansatz.symbols,
-                     dict(zip(ansatz.basis_a, sol.values[:na])))
-    b_poly = SymPoly(ansatz.symbols,
-                     dict(zip(ansatz.basis_b, sol.values[na:])))
-    miss = _first_miss(a_poly, b_poly, holdout, data)
-    if miss:
-        return "inconsistent", miss, None, None
-    return "verified", None, a_poly, b_poly
-
-
-def _inconsistency_witness(ansatz, samples, data):
-    """Name a sample the square subsystem's solution fails to reproduce."""
-    u = ansatz.unknowns
-    if len(samples) <= u:
-        return samples[0]
-    square = LinSys(u)
-    for n, a in samples[:u]:
-        ek, e1 = data[(n, a)]
-        square.add_row(_row(ansatz, n, a, e1), ek)
-    sol = solve_exact(square)
-    if not isinstance(sol, UniqueSolution):
-        return samples[0]
-    for n, a in samples[u:]:
-        ek, e1 = data[(n, a)]
-        row = _row(ansatz, n, a, e1)
-        if sum(r * c for r, c in zip(row, sol.values)) != ek:
-            return (n, a)
-    return samples[0]
 
 
 def _first_miss(a_poly: SymPoly, b_poly: SymPoly, points: list[tuple[int, int]],
@@ -338,48 +261,30 @@ def _within(poly: SymPoly, degree: int) -> bool:
     return all(sum(exps) <= degree for exps in poly.terms)
 
 
-def fit_moment(k: int, ansatz: MomentAnsatz | None = None,
-               general_a: bool = False, n_max: int | None = None) -> FitResult:
+def fit_moment(k: int, general_a: bool = False,
+               n_max: int | None = None) -> FitResult:
     """E_k = A + B*E_1, derived from the Wright-Abel sums and re-checked.
 
-    The derived A and B stand when they fit the ansatz's degree bounds and
-    reproduce E_k exactly at every sample and holdout point; a miss is
-    status "inconsistent" with the first failing point as witness.  An
-    ansatz too narrow for them gets the dense fit instead: the sample
-    system is overdetermined by HOLDOUT_MARGIN rows (exact elimination of
-    the extra rows is itself a consistency check) and the solution is then
-    verified on HOLDOUT_MARGIN fresh points beyond the sample grid.  An
-    inconsistent dense attempt escalates the degree bounds once; a second
-    failure is reported, never papered over.
+    The derived A and B stand when they lie within the default degree
+    bounds and reproduce E_k exactly at every sample and holdout point.
+    Otherwise the fit fails: status "inconsistent", with the first failing
+    point as witness (None if only the bounds were exceeded).
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
-    ansatz = ansatz or MomentAnsatz.default(k, general_a)
+    ansatz = MomentAnsatz.default(k, general_a)
     a_poly, b_poly = _derive(k, ansatz.symbols)
-    derived = _within(a_poly, ansatz.deg_a) and _within(b_poly, ansatz.deg_b)
-    escalated = False
-    while True:
-        samples, holdout = _default_points(ansatz, n_max)
-        data = _moment_data(samples + holdout, k)
-        if derived:
-            witness = _first_miss(a_poly, b_poly, samples + holdout, data)
-            status = "inconsistent" if witness else "verified"
-        else:
-            status, witness, a_poly, b_poly = _attempt(ansatz, samples, holdout, data)
-        if status == "verified":
-            return FitResult(k=k, symbols=ansatz.symbols, a_poly=a_poly,
-                             b_poly=b_poly, samples_used=samples,
-                             holdout_verified=list(holdout), status="verified",
-                             ansatz=ansatz, escalated=escalated)
-        if status == "inconsistent" and not (derived or escalated):
-            ansatz = ansatz.escalated()
-            escalated = True
-            continue
-        zero = SymPoly(ansatz.symbols)
-        return FitResult(k=k, symbols=ansatz.symbols, a_poly=zero, b_poly=zero,
-                         samples_used=samples, holdout_verified=[],
-                         status=status, ansatz=ansatz, escalated=escalated,
-                         witness=witness)
+    samples, holdout = _default_points(ansatz, n_max)
+    data = _moment_data(samples + holdout, k)
+    witness = _first_miss(a_poly, b_poly, samples + holdout, data)
+    if (witness is None and _within(a_poly, ansatz.deg_a)
+            and _within(b_poly, ansatz.deg_b)):
+        return FitResult(k=k, symbols=ansatz.symbols, a_poly=a_poly,
+                         b_poly=b_poly, samples_used=samples,
+                         holdout_verified=holdout, status="verified",
+                         ansatz=ansatz)
+    zero = SymPoly(ansatz.symbols)
+    return FitResult(k=k, symbols=ansatz.symbols, a_poly=zero, b_poly=zero,
+                     samples_used=samples, holdout_verified=[],
+                     status="inconsistent", ansatz=ansatz, witness=witness)
 
 
 def verify_fit(fit: FitResult, extra_points: list[tuple[int, int]]) -> bool:

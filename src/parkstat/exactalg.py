@@ -18,12 +18,16 @@ result.  The building blocks are:
                                      every row, and Fraction Gauss-Jordan
                                      elimination as the fallback
 
+No production path calls solve_exact: the moment identities are derived,
+not fitted.  It serves the tests' undetermined-coefficients reference for
+those identities, and perfbench/tracer.py wraps it.
+
 PolyX and SymPoly are containers with evaluation, not an algebra: the engines
 build their coefficients directly (PolyX from the area sweep, SymPoly from
-count_symbolic's coefficient lists, the derived moment identities and the
-fitted solution vectors), and the classes hold, read, evaluate, reverse and
-print them.  Neither adds or multiplies polynomials.  `interpolate` turns
-values at x = 1..m into coefficients.
+count_symbolic's coefficient lists and the derived moment identities), and
+the classes hold, read, evaluate, reverse and print them.  Neither adds or
+multiplies polynomials.  `interpolate` turns values at x = 1..m into
+coefficients.
 
 Decimal strings only appear at the output boundary (to_sig_str, sqrt_decimal),
 with an explicit number of significant digits.  All values are immutable

@@ -274,12 +274,15 @@ def _wright(top: int) -> tuple[tuple, tuple]:
     return tuple(thetas), w
 
 
-def _shift_table(a: int, top: int) -> list[tuple[int, list[int], int]]:
+@functools.lru_cache(maxsize=None)
+def _shift_table(a: int, top: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
     """(1-u) G_t(u) as (level, p, d) for t = 0..top, at shift a.
 
     Lambda_t = sum_{r=1..t+1} C(a theta, r) W_{t-r} is the q^t part of
     log E_a(z) = sum_m [am]_x Q(m-1,1) z^m/m!, and G = exp(sum_{t>=1} q^t
     Lambda_t) by t G_t = sum_{s=1..t} s Lambda_s G_{t-s}, G_0 = 1.
+    Cached and immutable, so a moment fit's derivation and its re-check's
+    jets share one table per shift.
     """
     lam = [(0, [0], 1)] * (top + 1)  # lam[0] collects Lambda_0, never read
     thetas = _wright(max(top - 1, 0))[0]
@@ -292,7 +295,7 @@ def _shift_table(a: int, top: int) -> list[tuple[int, list[int], int]]:
     g = [(0, [1], 1)]
     for t in range(1, top + 1):
         g.append(_combine([(s, _mul(lam[s], g[t - s])) for s in range(1, t + 1)], t))
-    return [(0, [1, -1], 1)] + [(L - 1, p, d) for L, p, d in g[1:]]
+    return ((0, (1, -1), 1),) + tuple((L - 1, tuple(p), d) for L, p, d in g[1:])
 
 
 def _state_jet(n: int, a: int, table) -> list[int]:
@@ -337,7 +340,7 @@ def jet_many(targets: Iterable[tuple[int, int]], order: int) -> dict[tuple[int, 
     if any(n < 0 or a < 0 for n, a in targets):
         raise ValueError("states need n >= 0 and a >= 0")
     fact = [math.factorial(t) for t in range(order + 1)]
-    tables: dict[int, list] = {}
+    tables: dict[int, tuple] = {}
     jets = {}
     for n, a in targets:  # the longest length at a shift uses the most orders
         if n and a:

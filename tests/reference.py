@@ -1,5 +1,9 @@
 """Independent slow paths the engines are checked against at test time.
 
+dense_fit is the moment identities' reference: A_k and B_k by
+undetermined coefficients, an exact solve on the derivation's own re-check
+grid.
+
 convolution_jets is the jet engine's reference.  Write
 E_a(z) = sum_m Q(m,a) z^m/m!.  The shift decomposition of Kung & Yan
 ("Goncarov polynomials and parking functions", JCTA 2003) gives
@@ -21,7 +25,10 @@ O(n^2 K^2) big-by-big products per shift.
 import math
 from operator import mul
 
-from parkstat.exactalg import binomial_rows
+from parkstat.conjecture_fit import (MomentAnsatz, _default_points,
+                                     _first_miss, _moment_data)
+from parkstat.exactalg import (LinSys, SymPoly, UniqueSolution, binomial_rows,
+                               solve_exact)
 
 
 def jet_mul(p: list[int], q: list[int], width: int) -> list[int]:
@@ -80,3 +87,42 @@ def reference_jets(targets, order: int) -> dict[tuple[int, int], tuple[int, ...]
             taylor = runs[a][n]
         out[(n, a)] = tuple(t * f for t, f in zip(taylor, fact))
     return out
+
+
+def monomials(symbols: tuple[str, ...], deg: int) -> list[tuple[int, ...]]:
+    """Exponent tuples of total degree <= deg, ordered by total degree and
+    then lexicographically, so the system layout is deterministic."""
+    if len(symbols) == 1:
+        exps = [(d,) for d in range(deg + 1)]
+    else:
+        exps = [(i, j) for i in range(deg + 1) for j in range(deg + 1 - i)]
+    return sorted(exps, key=lambda e: (sum(e), e))
+
+
+def dense_fit(k: int, general_a: bool) -> tuple[SymPoly, SymPoly]:
+    """(A_k, B_k) of E_k = A_k + B_k E_1 by undetermined coefficients.
+
+    One unknown per monomial of A and B under the default degree bounds,
+    one row per sample of the default grid (HOLDOUT_MARGIN more rows than
+    unknowns), solved exactly and then verified on the holdout points.
+    """
+    ansatz = MomentAnsatz.default(k, general_a)
+    basis_a = monomials(ansatz.symbols, ansatz.deg_a)
+    basis_b = monomials(ansatz.symbols, ansatz.deg_b)
+    assert len(basis_a) + len(basis_b) == ansatz.unknowns
+    samples, holdout = _default_points(ansatz)
+    data = _moment_data(samples + holdout, k)
+    na = len(basis_a)
+    system = LinSys(ansatz.unknowns)
+    for n, a in samples:
+        ek, e1 = data[(n, a)]
+        point = (n, a)[:len(ansatz.symbols)]
+        powers = [math.prod(v ** e for v, e in zip(point, exps))
+                  for exps in basis_a + basis_b]
+        system.add_row(powers[:na] + [p * e1 for p in powers[na:]], ek)
+    sol = solve_exact(system)
+    assert isinstance(sol, UniqueSolution), sol
+    a_poly = SymPoly(ansatz.symbols, dict(zip(basis_a, sol.values[:na])))
+    b_poly = SymPoly(ansatz.symbols, dict(zip(basis_b, sol.values[na:])))
+    assert _first_miss(a_poly, b_poly, holdout, data) is None
+    return a_poly, b_poly

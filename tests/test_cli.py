@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import pathlib
 import re
 import subprocess
 import sys
@@ -468,3 +469,21 @@ def test_cli_cold_start_imports_no_dataclasses_and_every_layer():
     cli = loaded("import sys, parkstat.cli")
     assert not {"dataclasses", "inspect"} & (cli - bare)
     assert {f"parkstat.{layer}" for layer in TRACED_LAYERS} <= cli
+
+
+def test_traced_fit_matches_the_untraced_cli(tmp_path):
+    # perfbench/tracer.py resolves every function it wraps when it starts,
+    # so deleting or renaming one would break the benchmark's traced runs
+    root = pathlib.Path(__file__).resolve().parent.parent
+    argv = ["fit", "--k", "2", "--general-a", "--format", "json", "--threads", "1"]
+    spans = tmp_path / "spans.json"
+    traced = subprocess.run([sys.executable, str(root / "perfbench" / "tracer.py"),
+                             str(spans), "id", *argv],
+                            capture_output=True, timeout=120, cwd=root)
+    plain = subprocess.run([sys.executable, "-m", "parkstat.cli", *argv],
+                           capture_output=True, timeout=120, cwd=root)
+    assert traced.returncode == 0, traced.stderr
+    assert plain.returncode == 0, plain.stderr
+    assert traced.stdout == plain.stdout
+    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    assert "conjecture_fit.fit_moment" in names

@@ -1,4 +1,5 @@
-"""Tests for the moment identities: derived, re-checked, and the dense fit."""
+"""Tests for the moment identities: derived, re-checked, and equal to the
+dense solve of tests/reference.py."""
 
 import functools
 from fractions import Fraction
@@ -7,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parkstat import conjecture_fit
+from parkstat import conjecture_fit, exactalg, genfun_engine
 from parkstat.cli import main as cli_main
-from parkstat.conjecture_fit import (MomentAnsatz, _attempt, _default_points,
-                                     _moment_data, fit_moment,
+from parkstat.conjecture_fit import (MomentAnsatz, fit_moment,
                                      leading_asymptotics, verify_fit)
 from parkstat.exactalg import SymPoly
+from reference import dense_fit, monomials
 
 # the known second-factorial-moment identity:
 #   E_2 = -7/3 (n+1) E_1 + 5/12 n^3 - 1/12 n^2 - 1/3 n
@@ -114,17 +115,6 @@ def test_fit_general_a_k5_restricts_to_classical():
     assert _at_a_one(fit.b_poly) == classical.b_poly
 
 
-def dense_fit(k: int, general_a: bool) -> tuple[SymPoly, SymPoly]:
-    """The undetermined-coefficients solve on the default grid: the
-    independent reference for the derived identities."""
-    ansatz = MomentAnsatz.default(k, general_a)
-    samples, holdout = _default_points(ansatz)
-    data = _moment_data(samples + holdout, k)
-    status, _, a_poly, b_poly = _attempt(ansatz, samples, holdout, data)
-    assert status == "verified"
-    return a_poly, b_poly
-
-
 @pytest.mark.parametrize("k,general_a",
                          [(k, True) for k in range(1, 6)]
                          + [(k, False) for k in range(1, 9)])
@@ -155,14 +145,26 @@ def test_derived_identity_holds_off_the_grid(k, n, a):
     assert verify_fit(general_fit(k), [(n, a)])
 
 
-def test_default_fits_reach_no_solve(monkeypatch):
+def test_default_fits_reach_no_solve(monkeypatch, capsys):
     def refuse(sys):
         raise AssertionError("the dense solve ran")
 
-    monkeypatch.setattr(conjecture_fit, "solve_exact", refuse)
-    for k in (1, 3, 6):
-        assert fit_moment(k).status == "verified"
-        assert fit_moment(k, general_a=True).status == "verified"
+    # solve_exact reaches both of its paths through exactalg's globals, so
+    # this also refuses a copy of it imported under another name
+    for name in ("solve_exact", "_solve_modular", "_gauss_jordan"):
+        monkeypatch.setattr(exactalg, name, refuse)
+    for k in ("1", "3", "6"):
+        assert cli_main(["fit", "--k", k]) == 0
+        assert cli_main(["fit", "--k", k, "--general-a"]) == 0
+    assert capsys.readouterr().out.count("verified on") == 6
+
+
+def test_fit_builds_each_shift_table_once():
+    # the derivation reads shifts 1..3k and the re-check's jets 1..3k+1,
+    # all at order k: one build per shift
+    genfun_engine._shift_table.cache_clear()
+    assert fit_moment(3, general_a=True).status == "verified"
+    assert genfun_engine._shift_table.cache_info().misses == 10
 
 
 def test_derived_identity_that_misses_is_reported(monkeypatch, capsys):
@@ -185,6 +187,35 @@ def test_derived_identity_that_misses_is_reported(monkeypatch, capsys):
     assert capsys.readouterr().out == "fit failed: inconsistent, witness (1, 1)\n"
 
 
+@pytest.mark.parametrize("data_follows", [False, True])
+def test_derived_identity_outside_the_bounds_fails(monkeypatch, capsys,
+                                                   data_follows):
+    # a derived term one degree past deg A is a failed fit, never a wider
+    # bound.  n^(deg A + 1) vanishes at no grid point, so the re-check
+    # misses at the first sample; with E_k moved by the same term the
+    # re-check passes and only the bound refuses it (witness None)
+    deg = MomentAnsatz.default(3).deg_a + 1
+    derive, moment_data = conjecture_fit._derive, conjecture_fit._moment_data
+
+    def widened(k, symbols):
+        a_poly, b_poly = derive(k, symbols)
+        return SymPoly(symbols, {**a_poly.terms, (deg,): 1}), b_poly
+
+    def moved(points, k):
+        return {(n, a): (ek + n ** deg, e1)
+                for (n, a), (ek, e1) in moment_data(points, k).items()}
+
+    monkeypatch.setattr(conjecture_fit, "_derive", widened)
+    if data_follows:
+        monkeypatch.setattr(conjecture_fit, "_moment_data", moved)
+    witness = None if data_follows else (1, 1)
+    fit = fit_moment(3)
+    assert (fit.status, fit.witness) == ("inconsistent", witness)
+    assert fit.a_poly.is_zero() and fit.b_poly.is_zero()
+    assert cli_main(["fit", "--k", "3"]) == 4
+    assert capsys.readouterr().out == f"fit failed: inconsistent, witness {witness}\n"
+
+
 def test_fit_general_a_key_coefficients():
     fit = fit_moment(2, general_a=True)
     assert fit.b_poly.coeff_of((1, 0)) == Fraction(-7, 3)  # the n term
@@ -195,8 +226,6 @@ def test_fit_general_a_key_coefficients():
 def test_ansatz_defaults_and_escalation():
     ans = MomentAnsatz.default(4)
     assert (ans.deg_a, ans.deg_b) == (6, 4)
-    esc = ans.escalated()
-    assert (esc.deg_a, esc.deg_b) == (7, 5)
     ans2 = MomentAnsatz.default(2, general_a=True)
     assert (ans2.deg_a, ans2.deg_b) == (5, 3)
     assert ans2.unknowns == 21 + 10
@@ -204,37 +233,10 @@ def test_ansatz_defaults_and_escalation():
 
 def test_ansatz_basis_ordering():
     ans = MomentAnsatz(k=2, symbols=("n", "a"), deg_a=2, deg_b=1)
-    assert ans.basis_a == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
-    assert ans.basis_b == [(0, 0), (0, 1), (1, 0)]
-
-
-def test_fit_escalation_then_honest_failure():
-    # a bound too small by more than one degree cannot be rescued by the
-    # single escalation step; the failure names a witness sample
-    ansatz = MomentAnsatz(k=2, symbols=("n",), deg_a=1, deg_b=0)
-    fit = fit_moment(2, ansatz=ansatz)
-    assert fit.status == "inconsistent"
-    assert fit.escalated
-    assert isinstance(fit.witness, tuple)
-    assert fit.a_poly.is_zero() and fit.b_poly.is_zero()
-
-
-def test_fit_escalation_rescues_one_degree_shortfall():
-    ansatz = MomentAnsatz(k=2, symbols=("n",), deg_a=2, deg_b=1)
-    fit = fit_moment(2, ansatz=ansatz)
-    assert fit.status == "verified"
-    assert fit.escalated
-    assert fit.a_poly == SECOND_A
-    assert fit.b_poly == SECOND_B
-
-
-def test_attempt_reports_underdetermined_on_degenerate_samples():
-    ansatz = MomentAnsatz(k=1, symbols=("n",), deg_a=1, deg_b=0)
-    samples = [(2, 1)] * 5  # one distinct point cannot pin three unknowns
-    data = _moment_data(samples, 1)
-    status, witness, _, _ = _attempt(ansatz, samples, [], data)
-    assert status == "underdetermined"
-    assert isinstance(witness, int)
+    assert monomials(ans.symbols, ans.deg_a) == [(0, 0), (0, 1), (1, 0),
+                                                 (0, 2), (1, 1), (2, 0)]
+    assert monomials(ans.symbols, ans.deg_b) == [(0, 0), (0, 1), (1, 0)]
+    assert ans.unknowns == 9
 
 
 def test_leading_asymptotics_matches_airy_recurrence_at_7_and_8():
