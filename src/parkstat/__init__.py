@@ -18,13 +18,13 @@ from .moment_lab import (MomentTable, ScaledHistogram, convert_moments,
                          expectation_area, expectation_sum, factorial_moments,
                          moment_table, p_prime_closed, scaled_histogram,
                          stirling2, w_value)
-from .parking_core import (AreaHistogram, area_stat, brute_histogram,
-                           is_a_parking, oracle_pairs, sum_stat)
+from .parking_core import (area_stat, brute_histogram, is_a_parking,
+                           oracle_pairs, sum_stat)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AiryMoment", "AreaGenFun", "AreaHistogram", "BACKEND", "BudgetExceeded",
+    "AiryMoment", "AreaGenFun", "BACKEND", "BudgetExceeded",
     "FitResult", "JetAtOne", "LinSys", "MomentAnsatz",
     "MomentTable", "PolyX", "ScaledHistogram", "SymPoly", "TwoPiPow",
     "airy_moments", "area_genfun", "area_genfun_many", "area_stat",

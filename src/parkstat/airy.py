@@ -22,7 +22,6 @@ deviations |ratio - 1| shrink along the grid and end below THRESHOLD.
 
 from __future__ import annotations
 
-import json
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -125,15 +124,14 @@ class AsymptoticReport(NamedTuple):
                       for s in self.per_k],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
 
 def asymptotic_check(order: int, grid: list[int]) -> AsymptoticReport:
     """Moment-by-moment convergence report over an ascending grid of n."""
     if order < 1:
         raise ValueError("need order >= 1")
     grid = list(grid)
+    if not grid:
+        raise ValueError("grid must not be empty")
     if grid != sorted(grid) or len(set(grid)) != len(grid):
         raise ValueError("grid must be strictly ascending")
     if any(n < 1 for n in grid):

@@ -17,7 +17,7 @@ import sys
 from . import airy as airy_mod
 from .conjecture_fit import fit_moment
 from .counting_engine import count, count_symbolic, verify_closed_form
-from .errors import BudgetExceeded
+from .errors import DEFAULT_BUDGET, BudgetExceeded
 from .exactalg import rat_str
 from .genfun_engine import area_genfun, area_genfun_many
 from .moment_lab import moment_table, scaled_histogram
@@ -67,7 +67,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_genfun(args: argparse.Namespace) -> int:
     gf = area_genfun(args.n, args.a, budget=args.budget)
     if args.fmt == "json":
-        text = gf.to_json()
+        text = json.dumps(gf.to_json_obj())
     elif args.fmt == "csv":
         text = gf.to_csv()
     else:
@@ -82,7 +82,7 @@ def cmd_genfun(args: argparse.Namespace) -> int:
 def cmd_moments(args: argparse.Namespace) -> int:
     table = moment_table(args.n, args.a, args.k)
     if args.fmt == "json":
-        text = table.to_json()
+        text = json.dumps(table.to_json_obj())
     elif args.fmt == "csv":
         lines = ["j,factorial,raw,central,scaled_central,scaled_var_power"]
         for j in range(1, args.k + 1):
@@ -140,7 +140,7 @@ def cmd_airy(args: argparse.Namespace) -> int:
     grid = list(args.grid) or [50, 100, 200]
     report = airy_mod.asymptotic_check(args.k, grid)
     if args.fmt == "json":
-        text = report.to_json()
+        text = json.dumps(report.to_json_obj())
     elif args.fmt == "csv":
         text = report.to_csv()
     else:
@@ -163,7 +163,7 @@ def cmd_hist(args: argparse.Namespace) -> int:
         hist = scaled_histogram(args.n, args.a, precision=args.precision,
                                 budget=args.budget)
         if args.fmt == "json":
-            text = hist.to_json()
+            text = json.dumps(hist.to_json_obj())
         elif args.fmt == "csv":
             text = hist.to_csv()
         else:
@@ -174,7 +174,7 @@ def cmd_hist(args: argparse.Namespace) -> int:
     else:
         gf = area_genfun(args.n, args.a, budget=args.budget)
         if args.fmt == "json":
-            text = gf.to_json()
+            text = json.dumps(gf.to_json_obj())
         elif args.fmt == "csv":
             text = gf.to_csv()
         else:
@@ -185,37 +185,29 @@ def cmd_hist(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_closed_form_suite(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
+def _verify_closed_form_suite(args: argparse.Namespace) -> tuple[str, bool, str]:
     n_max = 10 if args.n is None else args.n
     a_max = n_max + 1 if args.a is None else args.a
     report = verify_closed_form(n_max, a_max)
-    return [("closed-form", report.ok, report.describe())]
+    return "closed-form", report.ok, report.describe()
 
 
-def _verify_oracle_suite(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
+def _verify_oracle_suite(args: argparse.Namespace) -> tuple[str, bool, str]:
     pairs = oracle_pairs(args.budget)
     genfuns = area_genfun_many(pairs)
-    checks = []
-    bad = []
-    for n, a in pairs:
-        hist = brute_histogram(n, a, budget=args.budget)
-        gf = genfuns[(n, a)]
-        expected = {m: c for m, c in enumerate(gf.poly.coeffs) if c}
-        if hist.counts != expected:
-            bad.append((n, a))
-    ok = not bad
-    detail = (f"{len(pairs)} states, brute force equals generating function "
-              f"coefficientwise" if ok else f"mismatch at {bad}")
-    checks.append(("oracle-equivalence", ok, detail))
-    return checks
+    bad = [(n, a) for n, a in pairs
+           if brute_histogram(n, a, budget=args.budget) != genfuns[(n, a)]]
+    detail = (f"mismatch at {bad}" if bad else f"{len(pairs)} states, brute "
+              f"force equals generating function coefficientwise")
+    return "oracle-equivalence", not bad, detail
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     checks: list[tuple[str, bool, str]] = []
     if args.suite in ("closed-form", "all"):
-        checks += _verify_closed_form_suite(args)
+        checks.append(_verify_closed_form_suite(args))
     if args.suite in ("oracle", "all"):
-        checks += _verify_oracle_suite(args)
+        checks.append(_verify_oracle_suite(args))
     ok = all(c[1] for c in checks)
     if args.fmt == "json":
         text = json.dumps({
@@ -258,7 +250,7 @@ _FLAGS = {
     "a": {"type": int, "default": 1},
     "k": {"type": int, "default": 2},
     "grid": {"type": int_list, "default": ()},
-    "budget": {"type": positive_int, "default": 10**7},
+    "budget": {"type": positive_int, "default": DEFAULT_BUDGET},
     "precision": {"type": positive_int, "default": 15},
     "symbolic": {"action": "store_true",
                  "help": "print the counting polynomial in the shift a"},

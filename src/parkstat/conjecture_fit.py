@@ -87,7 +87,7 @@ class MomentAnsatz(NamedTuple):
         return binomial(self.deg_a + s, s) + binomial(self.deg_b + s, s)
 
 
-class FitResult:
+class FitResult(NamedTuple):
     """Outcome of one derived moment identity.
 
     status "verified" means the identity E_k = A + B*E_1 lies within the
@@ -95,35 +95,20 @@ class FitResult:
     point.  Otherwise status is "inconsistent", A and B are zero, and
     `witness` is the first failing point, or None when only the bounds were
     exceeded.  `escalated` is always False; it stays for the JSON schema.
-    Mutable: verify_fit extends `holdout_verified`.
+    The fields are fixed, but the point lists are not: verify_fit extends
+    `holdout_verified` in place, and the lists make the record unhashable.
     """
 
-    __slots__ = ("k", "symbols", "a_poly", "b_poly", "samples_used",
-                 "holdout_verified", "status", "ansatz", "escalated", "witness")
-
-    def __init__(self, k: int, symbols: tuple[str, ...], a_poly: SymPoly,
-                 b_poly: SymPoly, samples_used: list[tuple[int, int]],
-                 holdout_verified: list[tuple[int, int]], status: str,
-                 ansatz: MomentAnsatz, escalated: bool = False,
-                 witness: tuple[int, int] | None = None) -> None:
-        self.k = k
-        self.symbols = symbols
-        self.a_poly = a_poly
-        self.b_poly = b_poly
-        self.samples_used = samples_used
-        self.holdout_verified = holdout_verified
-        self.status = status
-        self.ansatz = ansatz
-        self.escalated = escalated
-        self.witness = witness
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"FitResult({fields})"
-
-    def predicted(self, n: int, a: int, e1: Fraction) -> Fraction:
-        point = {"n": n, "a": a}
-        return self.a_poly.eval(point) + self.b_poly.eval(point) * e1
+    k: int
+    symbols: tuple[str, ...]
+    a_poly: SymPoly
+    b_poly: SymPoly
+    samples_used: list[tuple[int, int]]
+    holdout_verified: list[tuple[int, int]]
+    status: str
+    ansatz: MomentAnsatz
+    escalated: bool = False
+    witness: tuple[int, int] | None = None
 
     def theorem_text(self) -> str:
         e1 = "E_1(n)" if self.symbols == ("n",) else "E_1(n,a)"

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+# the default cap of every resource guard: brute-force vectors for the
+# oracle, live coefficient slots for the polynomial sweep
+DEFAULT_BUDGET = 10**7
+
 
 class BudgetExceeded(Exception):
     """A resource guard tripped before the computation started.

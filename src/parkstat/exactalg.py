@@ -127,9 +127,6 @@ class PolyX:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, m: int) -> int:
-        return self.coeffs[m] if 0 <= m < len(self.coeffs) else 0
-
     def eval_one(self) -> int:
         return sum(self.coeffs)
 

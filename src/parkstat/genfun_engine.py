@@ -49,19 +49,20 @@ of this engine.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from typing import Iterable, NamedTuple
 
 from . import backend
-from .errors import BudgetExceeded
+from .errors import DEFAULT_BUDGET, BudgetExceeded
 from .exactalg import PolyX, binomial_rows
-
-DEFAULT_CELL_BUDGET = 10**7
 
 
 class AreaGenFun(NamedTuple):
-    """Q(n,a) as a dense polynomial: coeff of x^m counts functions of area m."""
+    """Q(n,a) as a dense polynomial: coeff of x^m counts functions of area m.
+
+    The polynomial sweep and the brute-force oracle
+    (parking_core.brute_histogram) both return it.
+    """
 
     n: int
     a: int
@@ -70,9 +71,6 @@ class AreaGenFun(NamedTuple):
     @property
     def total(self) -> int:
         return self.poly.eval_one()
-
-    def coeff(self, m: int) -> int:
-        return self.poly.coeff(m)
 
     def to_csv(self) -> str:
         lines = ["area,count"]
@@ -88,9 +86,6 @@ class AreaGenFun(NamedTuple):
                        for m, c in enumerate(self.poly.coeffs) if c},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
 
 class JetAtOne(NamedTuple):
     """(Q(n,a)(1), Q'(n,a)(1), ..., Q^(K)(n,a)(1)) as exact integers."""
@@ -99,17 +94,6 @@ class JetAtOne(NamedTuple):
     a: int
     order: int
     values: tuple[int, ...]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "a": self.a,
-            "k": self.order,
-            "values": [str(v) for v in self.values],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
 
 
 def _diagonal_cells(s: int, n_cap: int) -> int:
@@ -173,7 +157,7 @@ def _sweep(targets: Iterable[tuple[int, int]], unit, step, budget: int | None):
 
 
 def area_genfun_many(targets: Iterable[tuple[int, int]],
-                     budget: int = DEFAULT_CELL_BUDGET) -> dict[tuple[int, int], AreaGenFun]:
+                     budget: int = DEFAULT_BUDGET) -> dict[tuple[int, int], AreaGenFun]:
     """Q(n,a) for every requested state, from one shared sweep."""
     raw = _sweep(targets, [1], backend.kernels.genfun_step, budget)
     return {
@@ -184,12 +168,12 @@ def area_genfun_many(targets: Iterable[tuple[int, int]],
 
 
 def area_genfun(n: int, a: int = 1,
-                budget: int = DEFAULT_CELL_BUDGET) -> AreaGenFun:
+                budget: int = DEFAULT_BUDGET) -> AreaGenFun:
     """Q(n,a)(x) with exact integer coefficients."""
     return area_genfun_many([(n, a)], budget)[(n, a)]
 
 
-def sum_genfun(n: int, a: int = 1, budget: int = DEFAULT_CELL_BUDGET) -> PolyX:
+def sum_genfun(n: int, a: int = 1, budget: int = DEFAULT_BUDGET) -> PolyX:
     """P(n,a)(x): coefficient of x^s counts functions with sum s.
 
     Computed as the reversal of Q at offset n(2a+n-1)/2; the lowest term is

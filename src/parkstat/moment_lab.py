@@ -19,13 +19,13 @@ the output boundary, at an explicit precision).
 
 from __future__ import annotations
 
-import json
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
 from .exactalg import PolyX, binomial, rat_str, sqrt_decimal, to_sig_str
-from .genfun_engine import DEFAULT_CELL_BUDGET, area_genfun, jet_at_one
+from .errors import DEFAULT_BUDGET
+from .genfun_engine import area_genfun, jet_at_one
 
 
 def w_value(n: int) -> Fraction:
@@ -172,9 +172,6 @@ class MomentTable(NamedTuple):
             ]
         return obj
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
 
 def convert_moments(factorial: list[Fraction]) -> tuple[
         tuple[Fraction, ...], tuple[Fraction, ...],
@@ -256,12 +253,9 @@ class ScaledHistogram(NamedTuple):
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
 
 def scaled_histogram(n: int, a: int = 1, precision: int = 15,
-                     budget: int = DEFAULT_CELL_BUDGET) -> ScaledHistogram:
+                     budget: int = DEFAULT_BUDGET) -> ScaledHistogram:
     """Rows (area, exact count, x, density) over every conceivable area.
 
     E and Var are computed exactly from the full generating polynomial

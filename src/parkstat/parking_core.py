@@ -10,18 +10,20 @@ a = 1 gives classical parking functions.  The statistics are
 
 brute_histogram tallies area over the full superset {1..n+a-1}^n by direct
 enumeration, one sorted vector at a time, with no recurrence: every engine
-in this package is validated against it.
+in this package is validated against it.  The tally is Q(n,a) itself, so
+it comes back as the polynomial engine's record (genfun_engine.AreaGenFun)
+and the two compare with ==.
 """
 
 from __future__ import annotations
 
-import json
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from . import backend
-from .errors import BudgetExceeded
+from .errors import DEFAULT_BUDGET, BudgetExceeded
+from .exactalg import PolyX
+from .genfun_engine import AreaGenFun
 
-DEFAULT_BUDGET = 10**7
 ORACLE_A_CAP = 12
 
 PrefVector = Sequence[int]
@@ -54,41 +56,6 @@ def max_area(n: int, a: int) -> int:
     return n * (2 * a + n - 3) // 2 if n >= 1 else 0
 
 
-class _AreaHistogramFields(NamedTuple):
-    n: int
-    a: int
-    counts: dict[int, int]
-
-
-class AreaHistogram(_AreaHistogramFields):
-    """Exact count of a-parking functions of length n for every area value."""
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, a: int, counts: dict[int, int] | None = None) -> AreaHistogram:
-        return super().__new__(cls, n, a, {} if counts is None else counts)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def to_csv(self) -> str:
-        lines = ["area,count"]
-        lines += [f"{m},{c}" for m, c in sorted(self.counts.items())]
-        return "\n".join(lines) + "\n"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "a": self.a,
-            "total": str(self.total),
-            "counts": {str(m): str(c) for m, c in sorted(self.counts.items())},
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
-
 def oracle_pairs(budget: int = DEFAULT_BUDGET) -> list[tuple[int, int]]:
     """All (n, a <= ORACLE_A_CAP) whose full superset (n+a-1)^n fits the budget.
 
@@ -105,8 +72,8 @@ def oracle_pairs(budget: int = DEFAULT_BUDGET) -> list[tuple[int, int]]:
     return pairs
 
 
-def brute_histogram(n: int, a: int = 1, budget: int = DEFAULT_BUDGET) -> AreaHistogram:
-    """Tally area over all (n+a-1)^n preference vectors.
+def brute_histogram(n: int, a: int = 1, budget: int = DEFAULT_BUDGET) -> AreaGenFun:
+    """Q(n,a), tallied over all (n+a-1)^n preference vectors.
 
     Hard-fails with BudgetExceeded when the superset is larger than `budget`
     (a truncated oracle would be worse than none).  The budget is charged
@@ -116,10 +83,8 @@ def brute_histogram(n: int, a: int = 1, budget: int = DEFAULT_BUDGET) -> AreaHis
     if n < 0 or a < 1:
         raise ValueError("need n >= 0 and a >= 1")
     if n == 0:
-        return AreaHistogram(n=0, a=a, counts={0: 1})
+        return AreaGenFun(n=0, a=a, poly=PolyX([1]))
     required = (n + a - 1) ** n
     if required > budget:
         raise BudgetExceeded(required, budget, what="brute-force vectors")
-    dense = backend.kernels.brute_area_counts(n, a)
-    counts = {m: c for m, c in enumerate(dense) if c}
-    return AreaHistogram(n=n, a=a, counts=counts)
+    return AreaGenFun(n=n, a=a, poly=PolyX(backend.kernels.brute_area_counts(n, a)))

@@ -73,6 +73,8 @@ def test_asymptotic_check_grid_validation():
         asymptotic_check(2, [50, 50])
     with pytest.raises(ValueError):
         asymptotic_check(0, [10])
+    with pytest.raises(ValueError):
+        asymptotic_check(2, [])
 
 
 def test_report_serialization():

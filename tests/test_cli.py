@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parkstat.cli import main
+from parkstat.parking_core import oracle_pairs
 
 
 def run_cli(capsys, *argv):
@@ -473,17 +474,28 @@ def test_cli_cold_start_imports_no_dataclasses_and_every_layer():
 
 def test_traced_fit_matches_the_untraced_cli(tmp_path):
     # perfbench/tracer.py resolves every function it wraps when it starts,
-    # so deleting or renaming one would break the benchmark's traced runs
+    # and its counters read the records they return, so deleting or
+    # renaming either would break the benchmark's traced runs
     root = pathlib.Path(__file__).resolve().parent.parent
-    argv = ["fit", "--k", "2", "--general-a", "--format", "json", "--threads", "1"]
-    spans = tmp_path / "spans.json"
-    traced = subprocess.run([sys.executable, str(root / "perfbench" / "tracer.py"),
-                             str(spans), "id", *argv],
-                            capture_output=True, timeout=120, cwd=root)
-    plain = subprocess.run([sys.executable, "-m", "parkstat.cli", *argv],
-                           capture_output=True, timeout=120, cwd=root)
-    assert traced.returncode == 0, traced.stderr
-    assert plain.returncode == 0, plain.stderr
-    assert traced.stdout == plain.stdout
-    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
-    assert "conjecture_fit.fit_moment" in names
+    found = sum(a * (a + n) ** (n - 1) for n, a in oracle_pairs(10**4))
+    cases = [
+        (["fit", "--k", "2", "--general-a", "--format", "json"],
+         "conjecture_fit.fit_moment", {}),
+        (["verify", "--suite", "oracle", "--budget", "10000"],
+         "parking_core.brute_histogram", {"parking_core.found": found}),
+    ]
+    for argv, span, counts in cases:
+        argv = argv + ["--threads", "1"]
+        spans = tmp_path / "spans.json"
+        traced = subprocess.run([sys.executable, str(root / "perfbench" / "tracer.py"),
+                                 str(spans), "id", *argv],
+                                capture_output=True, timeout=120, cwd=root)
+        plain = subprocess.run([sys.executable, "-m", "parkstat.cli", *argv],
+                               capture_output=True, timeout=120, cwd=root)
+        assert traced.returncode == 0, traced.stderr
+        assert plain.returncode == 0, plain.stderr
+        assert traced.stdout == plain.stdout
+        trace = json.loads(spans.read_text())
+        assert span in {s[0] for s in trace["spans"]}
+        for name, value in counts.items():
+            assert trace["counts"][name] == value, name

@@ -64,13 +64,12 @@ def test_verify_fit_detects_corruption():
     fit = fit_moment(2)
     terms = dict(fit.a_poly.terms)
     terms[(0,)] = terms.get((0,), 0) + 1
-    fit.a_poly = SymPoly(("n",), terms)
+    fit = fit._replace(a_poly=SymPoly(("n",), terms))
     assert not verify_fit(fit, [(18, 1)])
 
 
 def test_verify_fit_requires_verified_status():
-    fit = fit_moment(2)
-    fit.status = "inconsistent"
+    fit = fit_moment(2)._replace(status="inconsistent")
     with pytest.raises(ValueError):
         verify_fit(fit, [(12, 1)])
 

@@ -2,7 +2,6 @@
 
 import functools
 import hashlib
-import json
 import math
 from fractions import Fraction
 
@@ -34,9 +33,7 @@ def test_area_genfun_examples():
 def test_area_genfun_matches_brute_force():
     for n in range(0, 6):
         for a in range(1, 4):
-            gf = area_genfun(n, a)
-            hist = brute_histogram(n, a)
-            assert {m: c for m, c in enumerate(gf.poly.coeffs) if c} == hist.counts
+            assert brute_histogram(n, a) == area_genfun(n, a), (n, a)
 
 
 def test_area_genfun_invariants():
@@ -303,9 +300,7 @@ def test_genfun_budget_guard():
 def test_serialization():
     gf = area_genfun(3, 1)
     assert gf.to_csv() == "area,count\n0,6\n1,6\n2,3\n3,1\n"
-    obj = json.loads(gf.to_json())
+    obj = gf.to_json_obj()
     assert obj["total"] == "16"
     assert obj["counts"]["3"] == "1"
-    jet = jet_at_one(3, 1, 2)
-    jobj = json.loads(jet.to_json())
-    assert jobj == {"n": 3, "a": 1, "k": 2, "values": ["16", "15", "12"]}
+    assert jet_at_one(3, 1, 2).values == (16, 15, 12)

@@ -21,4 +21,4 @@ def test_engines_run_on_pure_backend():
     assert gf.poly.coeffs == (6, 6, 3, 1)
     jets = jet_many([(3, 1)], 2)[(3, 1)]
     assert jets.values == (16, 15, 12)
-    assert brute_histogram(3, 1).counts == {0: 6, 1: 6, 2: 3, 3: 1}
+    assert brute_histogram(3, 1).poly.coeffs == (6, 6, 3, 1)

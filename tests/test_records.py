@@ -13,7 +13,6 @@ from parkstat.exactalg import (Inconsistent, PolyX, SymPoly, TwoPiPow, Underdete
                                UniqueSolution)
 from parkstat.genfun_engine import AreaGenFun, JetAtOne
 from parkstat.moment_lab import HistogramRow, MomentTable, ScaledHistogram
-from parkstat.parking_core import AreaHistogram
 
 ROW = RatioRow(k=1, n=36, ratio="0.9", deviation="0.1")
 SUMMARY = KSummary(k=1, decreasing=True, final_deviation="0.1", below_threshold=True)
@@ -44,7 +43,6 @@ FROZEN = [
                        "variance": Fraction(2, 9), "rows": (HIST_ROW,)}),
 ]
 MUTABLE = [
-    (AreaHistogram, {"n": 2, "a": 1, "counts": {0: 2, 1: 1}}),
     (FitResult, {"k": 1, "symbols": ("n",), "a_poly": SymPoly(("n",)),
                  "b_poly": SymPoly(("n",), {(0,): Fraction(1)}),
                  "samples_used": [(1, 1)], "holdout_verified": [], "status": "verified",
@@ -79,14 +77,6 @@ def test_frozen_record_equality_hash_and_immutability(cls, fields):
         setattr(rec, first, fields[first])
     with pytest.raises(AttributeError):
         rec.extra = 1
-
-
-def test_area_histogram_default_counts_are_fresh():
-    first, second = AreaHistogram(3, 1), AreaHistogram(n=3, a=1)
-    assert first.counts == {} and first.counts is not second.counts
-    first.counts[0] = 6
-    assert second.counts == {} and AreaHistogram(3, 1).counts == {}
-    assert first == AreaHistogram(3, 1, {0: 6})
 
 
 def test_fit_result_rebuilt_from_json_verifies(capsys):
