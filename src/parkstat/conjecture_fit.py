@@ -7,32 +7,12 @@ in n and a) with
 
 exactly, where E_k is the k-th factorial moment of the area statistic and
 E_1 its expectation.  They are derived from the jet engine's Wright-Abel
-sums (_shift_identity).  Entry k of the shift table of a
-(genfun_engine._shift_table) is (L, p, d), and Taylor coefficient k of
-Q(n,a) at x = 1 is sum_j p_j S_L(j)/d, where S_L(j) is the L-fold suffix
-sum at j of g_l = n^{falling l} b^{n-l}, b = a+n.  The weight of g_l there,
-times (L-1)!, is the polynomial
-
-    (l-j+L-1)^{falling L-1} = sum_r C(L-1, r) (L-1-j)^{falling L-1-r} l^{falling r}
-
-(Vandermonde), except at the head: the suffix sum starts at l = j, so
-e_l = sum_{j>l} p_j (l-j+L-1)^{falling L-1} comes off g_l.  The product
-vanishes for 0 < j-l < L, and p has at most L+2 entries (every table up to
-k = 12 and a = 40 was checked), so only l = 0 and l = 1 carry a head.  The
-moment sums G_r = sum_l l^{falling r} g_l obey, by (n-l) g_l = b g_{l+1},
-
-    G_0 = S,  G_1 = b^{n+1} - a S,  G_{r+1} = -(2r+a) G_r + r(n+1-r) G_{r-1},
-
-so G_r = alpha_r b^n + beta_r S with alpha_r, beta_r integer polynomials in
-n.  Summing the weights gives the coefficient as (alpha b^n + beta S) /
-(d (L-1)!), with alpha = sum_r w_r alpha_r - e_0 - e_1 n/b.  moment_lab's
-E_1 gives S = b^{n-1} (2 E_1 - n(a-2) + b), and the count is a b^{n-1}, so
-
-    A_k = c (alpha b + beta (b - n(a-2))),  B_k = 2 c beta,  c = k!/(a d (L-1)!).
-
-In n alone that is the shift a = 1.  In (n, a) the per-shift polynomials
-are interpolated in a over shifts 1..3k, as A_k and B_k have total degree
-at most 3k-1 (the re-check grid runs past the nodes, to shift 3k+1).
+sums: genfun_engine.shift_identity gives A_k and B_k at one shift as
+coefficient lists in n, and the genfun_engine docstring holds the
+derivation.  In n alone that is the shift a = 1.  In (n, a) the per-shift
+polynomials are interpolated in a over shifts 1..3k, as A_k and B_k have
+total degree at most 3k-1 (the re-check grid runs past the nodes, to
+shift 3k+1).
 Wright's recurrence, Lagrange inversion and the shift decomposition are
 theorems, so this is a derivation, not a fit.  It is still re-checked
 exactly against the jets and the closed-form E_1 on the sample grid and
@@ -50,9 +30,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactalg import (SymPoly, TwoPiPow, binomial, falling_factorial,
-                       interpolate, rat_str)
-from .genfun_engine import _shift_table, jet_many
+from .exactalg import SymPoly, TwoPiPow, binomial, interpolate, rat_str
+from .genfun_engine import jet_many, shift_identity
 from .moment_lab import expectation_area
 
 HOLDOUT_MARGIN = 5
@@ -184,53 +163,12 @@ def _first_miss(a_poly: SymPoly, b_poly: SymPoly, points: list[tuple[int, int]],
     return None
 
 
-def _moment_sum(weights: list[int], x: list[int], y: list[int], a: int) -> list[int]:
-    """sum_r w_r x_r, where x_0 = x, x_1 = y and
-    x_{r+1} = -(2r+a) x_r + r(n+1-r) x_{r-1}, as coefficient lists in n."""
-    total = [0] * (len(weights) // 2 + 2)  # deg x_r <= (r+1)/2
-    for r, w in enumerate(weights):
-        for i, c in enumerate(x):
-            total[i] += w * c
-        z = [-(2 * r + 2 + a) * c for c in y] + [0] * (len(x) + 1 - len(y))
-        for i, c in enumerate(x):
-            z[i] -= (r + 1) * r * c
-            z[i + 1] += (r + 1) * c
-        x, y = y, z
-    return total
-
-
-def _shift_identity(k: int, a: int) -> tuple[list[Fraction], list[Fraction]]:
-    """A_k and B_k at shift a, as coefficient lists in n (module docstring)."""
-    L, p, d = _shift_table(a, k)[k]
-    m = L - 1
-    weights = [0] * L  # w_r of l^{falling r}
-    for j, c in enumerate(p):
-        for s in range(L):  # c = p_j (m-j)^{falling s}, for r = m-s
-            weights[m - s] += c
-            c *= m - j - s
-    weights = [binomial(m, r) * w for r, w in enumerate(weights)]
-    alpha = _moment_sum(weights, [0], [a, 1], a)  # G_0 = S, G_1 = b^{n+1} - a S
-    beta = _moment_sum(weights, [1], [-a], a)
-    e0, e1 = (sum(c * falling_factorial(l - j + m, m) for j, c in enumerate(p) if j > l)
-              for l in (0, 1))
-    alpha[0] -= e0
-    num = [0] * (len(alpha) + 1)  # alpha b + beta (b - n(a-2)) - e1 n
-    for i, (x, y) in enumerate(zip(alpha, beta)):
-        num[i] += a * (x + y)
-        num[i + 1] += x + (3 - a) * y
-    num[1] -= e1
-    den = a * d * falling_factorial(m, m)
-    k_fact = falling_factorial(k, k)
-    return ([Fraction(k_fact * c, den) for c in num],
-            [Fraction(2 * k_fact * c, den) for c in beta])
-
-
 def _derive(k: int, symbols: tuple[str, ...]) -> tuple[SymPoly, SymPoly]:
     """(A_k, B_k) in `symbols`: the shift a = 1, or shifts 1..3k interpolated."""
     if symbols == ("n",):
-        return tuple(SymPoly(symbols, {(i,): c for i, c in enumerate(coeffs)})
-                     for coeffs in _shift_identity(k, 1))
-    shifts = [_shift_identity(k, a) for a in range(1, 3 * k + 1)]
+        return tuple(SymPoly.from_univariate(coeffs, "n")
+                     for coeffs in shift_identity(k, 1))
+    shifts = [shift_identity(k, a) for a in range(1, 3 * k + 1)]
     polys = []
     for part in zip(*shifts):  # A at every shift, then B
         terms = {}

@@ -44,17 +44,60 @@ converted back to derivative values on harvest.  The exponential-formula
 convolution that follows from log E_a by differentiating in z, and the
 triangle's jet kernel (kernels.jet_step), are the test-time cross-checks
 of this engine.
+
+The Abel terms g_l = n^{falling l} b^{n-l}, b = a+n, that _state_jet sums
+add up to the Abel-type sum (Riordan, Combinatorial Identities, 1968)
+
+    S = sum_{l=0..n} n^{falling l} b^{n-l},
+
+at a = 1 equal to (n+1)^n Q(n+1) with Ramanujan's Q (Knuth, TAOCP vol. 1,
+1.2.11.3).  Every closed form in moment_lab is a rational function of S
+and b.  abel_sum computes S by binary splitting (Haible & Papanikolaou,
+"Fast multiprecision evaluation of series of rational numbers", ANTS
+1998): consecutive terms have the ratio (n-l+1)/b, so over l in [lo, hi)
+the pair (P, T), P = prod (n-l+1) and T = sum_l prod_{lo..l} (n-j+1)
+b^{hi-1-l}, starts from the leaf (n-l+1, n-l+1), and halves combine as
+(P1 P2, T1 b^{hi-mid} + P1 T2).  Then S = b^n + T over [1, n+1), and
+S = 1 at n = 0.  The products are of balanced size, so CPython's Karatsuba
+makes the sum sub-quadratic in n.
+
+The same terms give the moment identities E_k = A_k + B_k E_1
+(shift_identity; conjecture_fit interpolates them in a).  Entry k of the
+shift table of a is (L, p, d), and Taylor coefficient k of Q(n,a) at
+x = 1 is sum_j p_j S_L(j)/d, where S_L(j) is the L-fold suffix sum at j of
+g_l.  The weight of g_l there, times (L-1)!, is the polynomial
+
+    (l-j+L-1)^{falling L-1} = sum_r C(L-1, r) (L-1-j)^{falling L-1-r} l^{falling r}
+
+(Vandermonde), except at the head: the suffix sum starts at l = j, so
+e_l = sum_{j>l} p_j (l-j+L-1)^{falling L-1} comes off g_l.  The product
+vanishes for 0 < j-l < L, and p has at most L+2 entries
+(tests/test_genfun_engine.py::test_shift_table_entries_have_two_head_terms
+checks every entry up to t = 16 at shifts 1, 2, 3, 7, 40 and 300), so only
+l = 0 and l = 1 carry a head.  The moment sums G_r = sum_l l^{falling r}
+g_l obey, by (n-l) g_l = b g_{l+1},
+
+    G_0 = S,  G_1 = b^{n+1} - a S,  G_{r+1} = -(2r+a) G_r + r(n+1-r) G_{r-1},
+
+so G_r = alpha_r b^n + beta_r S with alpha_r, beta_r integer polynomials in
+n (_moment_sum).  Summing the weights gives the coefficient as
+(alpha b^n + beta S) / (d (L-1)!), with
+alpha = sum_r w_r alpha_r - e_0 - e_1 n/b.  moment_lab's E_1 gives
+S = b^{n-1} (2 E_1 - n(a-2) + b), and the count is a b^{n-1}, so
+
+    A_k = c (alpha b + beta (b - n(a-2))),  B_k = 2 c beta,  c = k!/(a d (L-1)!).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from . import backend
 from .errors import DEFAULT_BUDGET, BudgetExceeded
-from .exactalg import PolyX, binomial_rows
+from .exactalg import PolyX, binomial, binomial_rows, falling_factorial
 
 
 class AreaGenFun(NamedTuple):
@@ -343,3 +386,58 @@ def jet_many(targets: Iterable[tuple[int, int]], order: int) -> dict[tuple[int, 
 def jet_at_one(n: int, a: int, order: int) -> JetAtOne:
     """(Q(1), Q'(1), ..., Q^(order)(1)) for one state."""
     return jet_many([(n, a)], order)[(n, a)]
+
+
+def abel_sum(n: int, b: int) -> int:
+    """S = sum_{l=0..n} n^{falling l} b^{n-l}, by binary splitting
+    (module docstring)."""
+    def split(lo: int, hi: int) -> tuple[int, int]:  # (P, T) over [lo, hi)
+        if hi - lo == 1:
+            return n - lo + 1, n - lo + 1
+        mid = (lo + hi) // 2
+        p1, t1 = split(lo, mid)
+        p2, t2 = split(mid, hi)
+        return p1 * p2, t1 * b ** (hi - mid) + p1 * t2
+
+    return b ** n + split(1, n + 1)[1] if n else 1
+
+
+def _moment_sum(weights: list[int], x: list[int], y: list[int], a: int) -> list[int]:
+    """sum_r w_r x_r, where x_0 = x, x_1 = y and
+    x_{r+1} = -(2r+a) x_r + r(n+1-r) x_{r-1}, as coefficient lists in n."""
+    total = [0] * (len(weights) // 2 + 2)  # deg x_r <= (r+1)/2
+    for r, w in enumerate(weights):
+        for i, c in enumerate(x):
+            total[i] += w * c
+        z = [-(2 * r + 2 + a) * c for c in y] + [0] * (len(x) + 1 - len(y))
+        for i, c in enumerate(x):
+            z[i] -= (r + 1) * r * c
+            z[i + 1] += (r + 1) * c
+        x, y = y, z
+    return total
+
+
+def shift_identity(k: int, a: int) -> tuple[list[Fraction], list[Fraction]]:
+    """A_k and B_k at shift a, as coefficient lists in n (module docstring)."""
+    L, p, d = _shift_table(a, k)[k]
+    m = L - 1
+    weights = [0] * L  # w_r of l^{falling r}
+    for j, c in enumerate(p):
+        for s in range(L):  # c = p_j (m-j)^{falling s}, for r = m-s
+            weights[m - s] += c
+            c *= m - j - s
+    weights = [binomial(m, r) * w for r, w in enumerate(weights)]
+    alpha = _moment_sum(weights, [0], [a, 1], a)  # G_0 = S, G_1 = b^{n+1} - a S
+    beta = _moment_sum(weights, [1], [-a], a)
+    e0, e1 = (sum(c * falling_factorial(l - j + m, m) for j, c in enumerate(p) if j > l)
+              for l in (0, 1))
+    alpha[0] -= e0
+    num = [0] * (len(alpha) + 1)  # alpha b + beta (b - n(a-2)) - e1 n
+    for i, (x, y) in enumerate(zip(alpha, beta)):
+        num[i] += a * (x + y)
+        num[i + 1] += x + (3 - a) * y
+    num[1] -= e1
+    den = a * d * falling_factorial(m, m)
+    k_fact = falling_factorial(k, k)
+    return ([Fraction(k_fact * c, den) for c in num],
+            [Fraction(2 * k_fact * c, den) for c in beta])

@@ -1,14 +1,18 @@
 """Exact expectations, factorial moments, conversions, scaled histograms.
 
-The closed forms implemented here:
+The closed forms implemented here, with b = a+n and the Abel-type sum
+S = sum_{l=0..n} n^{falling l} b^{n-l} (genfun_engine.abel_sum):
 
     W_n               = (n!/n^(n-1)) sum_{k=0..n-2} n^k/k!
-    E_area(n, a)      = n(a-2)/2 + (1/2) sum_{j=1..n} n!/((n-j)! (a+n)^(j-1))
-    E_sum(n, a)       = n(a+n+1)/2 - (1/2) sum_{j=1..n} n!/((n-j)! (a+n)^(j-1))
-    P'(n, a)(1)       = (1/2) a n (a+n+1) (a+n)^(n-1)
-                        - (1/2) sum_{j=1..n} C(n,j) j! a (a+n)^(n-j)
+    E_area(n, a)      = n(a-2)/2 + (S - b^n)/(2 b^(n-1))
+    E_sum(n, a)       = n(a+n+1)/2 - (S - b^n)/(2 b^(n-1))
+    P'(n, a)(1)       = a (n(a+n+1) b^(n-1) - S + b^n)/2
 
 so that E_area(n,1) = -n/2 + W_(n+1)/2 and E_sum + E_area = n(2a+n-1)/2.
+The expectations and P' take S from one binary-split abel_sum call, which
+is sub-quadratic in n.  W_n keeps its own Riordan-Sloane sum, so the
+E_area(n,1) = -n/2 + W_(n+1)/2 check stays one between two independent
+formulas rather than an identity true by construction.
 The k-th factorial moment is E_k(n,a) = Q^(k)(n,a)(1) / (a(a+n)^(n-1)),
 taken from the jet engine; raw moments follow via Stirling numbers of the
 second kind, central moments by binomial expansion about the mean, and
@@ -25,7 +29,7 @@ from typing import NamedTuple
 
 from .exactalg import PolyX, binomial, rat_str, sqrt_decimal, to_sig_str
 from .errors import DEFAULT_BUDGET
-from .genfun_engine import area_genfun, jet_at_one
+from .genfun_engine import abel_sum, area_genfun, jet_at_one
 
 
 def w_value(n: int) -> Fraction:
@@ -44,31 +48,24 @@ def w_value(n: int) -> Fraction:
     return Fraction((n - 1) * u, n ** (n - 2))
 
 
-def _falling_sum(n: int, a: int) -> Fraction:
-    # sum_{j=1..n} n!/((n-j)! (a+n)^(j-1)), exact
-    base = a + n
-    acc = 0
-    ff = 1
-    power = base ** (n - 1)
-    for j in range(1, n + 1):
-        ff *= n - j + 1
-        acc += ff * power
-        power //= base  # exact: power = base^(n-j) before this line
-    return Fraction(acc, base ** (n - 1))
+def _abel_tail(n: int, a: int) -> tuple[int, int]:
+    """(S - b^n, b^(n-1)) with b = a+n, S = abel_sum(n, b)."""
+    if n < 1 or a < 1:
+        raise ValueError("need n >= 1 and a >= 1")
+    power = (a + n) ** (n - 1)
+    return abel_sum(n, a + n) - (a + n) * power, power
 
 
 def expectation_area(n: int, a: int = 1) -> Fraction:
     """Exact expectation of the area statistic on a-parking functions."""
-    if n < 1 or a < 1:
-        raise ValueError("need n >= 1 and a >= 1")
-    return Fraction(n * (a - 2), 2) + _falling_sum(n, a) / 2
+    tail, power = _abel_tail(n, a)
+    return Fraction(n * (a - 2) * power + tail, 2 * power)
 
 
 def expectation_sum(n: int, a: int = 1) -> Fraction:
     """Exact expectation of the sum statistic on a-parking functions."""
-    if n < 1 or a < 1:
-        raise ValueError("need n >= 1 and a >= 1")
-    return Fraction(n * (a + n + 1), 2) - _falling_sum(n, a) / 2
+    tail, power = _abel_tail(n, a)
+    return Fraction(n * (a + n + 1) * power - tail, 2 * power)
 
 
 def p_prime_closed(n: int, a: int = 1) -> int:
@@ -78,17 +75,10 @@ def p_prime_closed(n: int, a: int = 1) -> int:
     contradicts both the sum-expectation formula and direct evaluation
     (P'(2,1)(1) = 8, not 2), so the consistent variant is used here.
     """
-    if n < 1 or a < 1:
-        raise ValueError("need n >= 1 and a >= 1")
-    head = Fraction(a * n * (a + n + 1) * (a + n) ** (n - 1), 2)
-    tail = Fraction(0)
-    ff = 1
-    for j in range(1, n + 1):
-        ff *= n - j + 1  # C(n,j) j! = n!/(n-j)!
-        tail += ff * a * (a + n) ** (n - j)
-    val = head - tail / 2
-    assert val.denominator == 1
-    return val.numerator
+    tail, power = _abel_tail(n, a)
+    val, odd = divmod(a * (n * (a + n + 1) * power - tail), 2)
+    assert not odd
+    return val
 
 
 def factorial_moments(n: int, a: int = 1, order: int = 2) -> list[Fraction]:
@@ -142,6 +132,8 @@ class MomentTable(NamedTuple):
 
     def scaled_decimal(self, j: int, precision: int = 15) -> Decimal:
         """Scaled moment j rendered as a decimal (variance must be > 0)."""
+        if not 1 <= j <= self.order:
+            raise ValueError(f"need 1 <= j <= {self.order}, got j={j}")
         if self.scaled is None:
             raise ValueError("scaled moments undefined: variance is zero")
         central_j, var_power = self.scaled[j - 1]

@@ -1,5 +1,10 @@
 """Independent slow paths the engines are checked against at test time.
 
+falling_sum and p_prime_sum are the closed forms' reference: the sums
+sum_{j=1..n} n!/((n-j)! (a+n)^(j-1)) and sum_{j=1..n} C(n,j) j! a (a+n)^(n-j)
+term by term, one big product per term, where moment_lab takes both from
+one binary-split Abel sum.
+
 dense_fit is the moment identities' reference: A_k and B_k by
 undetermined coefficients, an exact solve on the derivation's own re-check
 grid.
@@ -23,12 +28,40 @@ O(n^2 K^2) big-by-big products per shift.
 """
 
 import math
+from fractions import Fraction
 from operator import mul
 
 from parkstat.conjecture_fit import (MomentAnsatz, _default_points,
                                      _first_miss, _moment_data)
 from parkstat.exactalg import (LinSys, SymPoly, UniqueSolution, binomial_rows,
                                solve_exact)
+
+
+def falling_sum(n: int, a: int) -> Fraction:
+    """sum_{j=1..n} n!/((n-j)! (a+n)^(j-1)), exact; then
+    E_area = n(a-2)/2 + falling_sum/2 and E_sum = n(a+n+1)/2 - falling_sum/2."""
+    base = a + n
+    acc = 0
+    ff = 1
+    power = base ** (n - 1)
+    for j in range(1, n + 1):
+        ff *= n - j + 1
+        acc += ff * power
+        power //= base  # exact: power = base^(n-j) before this line
+    return Fraction(acc, base ** (n - 1))
+
+
+def p_prime_sum(n: int, a: int) -> int:
+    """P'(n,a)(1) = a n (a+n+1) (a+n)^(n-1)/2 - sum_j C(n,j) j! a (a+n)^(n-j)/2."""
+    head = Fraction(a * n * (a + n + 1) * (a + n) ** (n - 1), 2)
+    tail = Fraction(0)
+    ff = 1
+    for j in range(1, n + 1):
+        ff *= n - j + 1  # C(n,j) j! = n!/(n-j)!
+        tail += ff * a * (a + n) ** (n - j)
+    val = head - tail / 2
+    assert val.denominator == 1
+    return val.numerator
 
 
 def jet_mul(p: list[int], q: list[int], width: int) -> list[int]:

@@ -16,8 +16,9 @@ from parkstat.cli import main as cli_main
 from parkstat.counting_engine import count, verify_closed_form
 from parkstat.errors import BudgetExceeded
 from parkstat.exactalg import PolyX
-from parkstat.genfun_engine import (_sweep, area_genfun, area_genfun_many,
-                                    jet_at_one, jet_many, sum_genfun)
+from parkstat.genfun_engine import (_sweep, abel_sum, area_genfun,
+                                    area_genfun_many, jet_at_one, jet_many,
+                                    sum_genfun)
 from parkstat.moment_lab import moment_table
 from parkstat.parking_core import brute_histogram, max_area
 from reference import convolution_jets, reference_jets
@@ -235,6 +236,29 @@ def test_long_shifted_jets_golden():
     blob = repr([got[state].values for state in sorted(got)]).encode()
     assert hashlib.sha256(blob).hexdigest() == \
         "07482edd5b690c7cfb2033c03649b155f8b09d461be2a2d5c01af812293f1e9c"
+
+
+def naive_abel_sum(n, b):
+    total, falling = 0, 1
+    for l in range(n + 1):
+        total += falling * b ** (n - l)
+        falling *= n - l
+    return total
+
+
+@pytest.mark.parametrize("n,a", [(n, a) for n in (0, 1, 2, 3, 17, 64, 65)
+                                 for a in (1, 2, 7)] + [(2000, 1), (2000, 7)])
+def test_abel_sum_equals_the_term_by_term_sum(n, a):
+    # 17 and 65 split unevenly, where b^(hi-mid) and b^(mid-lo) differ
+    assert abel_sum(n, a + n) == naive_abel_sum(n, a + n)
+
+
+def test_shift_table_entries_have_two_head_terms():
+    # shift_identity reads head terms at l = 0 and 1 only, which needs
+    # len(p) <= L + 2 in every entry it uses
+    for a in (1, 2, 3, 7, 40, 300):
+        for L, p, _ in genfun_engine._shift_table(a, 16)[1:]:
+            assert len(p) <= L + 2, (a, L, len(p))
 
 
 def _pmul(p: PolyX, q: PolyX) -> PolyX:

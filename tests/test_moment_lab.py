@@ -4,6 +4,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parkstat.counting_engine import count
 from parkstat.exactalg import sqrt_decimal
@@ -12,6 +14,7 @@ from parkstat.moment_lab import (convert_moments, expectation_area,
                                  expectation_sum, factorial_moments,
                                  moment_table, p_prime_closed,
                                  scaled_histogram, stirling2, w_value)
+from reference import falling_sum, p_prime_sum
 
 
 def test_w_examples():
@@ -77,6 +80,16 @@ def test_expectation_area_w_relation():
 @pytest.mark.parametrize("n,a,expected", [(1, 1, 1), (2, 1, 8), (3, 1, 81)])
 def test_p_prime_examples(n, a, expected):
     assert p_prime_closed(n, a) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 200),
+       a=st.one_of(st.integers(1, 50), st.sampled_from([100, 300])))
+def test_closed_forms_equal_the_term_by_term_sums(n, a):
+    tail = falling_sum(n, a)
+    assert expectation_area(n, a) == Fraction(n * (a - 2), 2) + tail / 2
+    assert expectation_sum(n, a) == Fraction(n * (a + n + 1), 2) - tail / 2
+    assert p_prime_closed(n, a) == p_prime_sum(n, a)
 
 
 def test_p_prime_matches_sum_genfun_derivative():
@@ -157,6 +170,9 @@ def test_moment_table_scaled_second_is_one():
     table = moment_table(5, 1, 3)
     assert table.scaled_decimal(2, 20) == Decimal(1)
     assert table.variance > 0
+    for j in (0, -1, table.order + 1):  # no wrap-around to the end
+        with pytest.raises(ValueError):
+            table.scaled_decimal(j)
 
 
 def test_moment_table_order_one_is_the_order_two_prefix():
