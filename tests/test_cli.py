@@ -1,6 +1,7 @@
 """Tests for the command-line surface: formats, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -284,8 +285,127 @@ def test_cli_fuzz_exit_codes(argv):
     code, out, err = outcome(argv)
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err
-    if code == 2:
+    if code in (2, 3):
         assert out == ""
+    if code == 3:
+        assert err.count("\n") == 1 and err.endswith("\n")
+    if code == 4:  # the full report comes first, then one line on stderr
+        assert out.endswith("\n")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
+# (argv, exit code, sha256 of stdout, stderr): every command in every format
+# plus one exit 2, 3 and 4 each, recorded before the handlers shared one
+# output path, so any change to the bytes a command writes shows here
+GOLDEN = [
+    ("count --n 5 --a 2 --format csv", 0,
+     "dca17e7a4d55bf264338aaf0ce6e2098e4059dd0c8cfb30b4a3207519773a9a4",
+     ""),
+    ("count --n 5 --a 2 --format json", 0,
+     "75137d445b5d358397e9a34748a6e4f4dc2a9882586932f1bb6f0e7b108bbe7b",
+     ""),
+    ("count --n 5 --a 2 --format text", 0,
+     "4023b739a57e96ddfcf592b4e3edd05d72914988a5bae3e49b9674bf2eae8cb5",
+     ""),
+    ("count --n 4 --symbolic --format csv", 0,
+     "6a637c4e7aecdb499e4806d862fe81d902b69c7ce45c928d8efdb2bfa41de205",
+     ""),
+    ("count --n 4 --symbolic --format json", 0,
+     "ef9018967405512f46a0d05960d904709cd6e5d499bf275b1784b43772421aa4",
+     ""),
+    ("count --n 4 --symbolic --format text", 0,
+     "b2d36cc29da650bd9cf4c350d7c6717f1ec5c3df66c39dd7d92811181e90bbdf",
+     ""),
+    ("genfun --n 4 --a 2 --format csv", 0,
+     "b9b0fc81af791715949ea0fb125d6753323a7ae2a83bb76a8e11ce7249805b3e",
+     ""),
+    ("genfun --n 4 --a 2 --format json", 0,
+     "38126cf7f70fde98ab5c8b305e46dc4a8a3f805390354baab9e6301481be52b0",
+     ""),
+    ("genfun --n 4 --a 2 --format text", 0,
+     "733156924f085694a06d4465788a7bff9c57c9d7f67daa54db9ac537edb34cb6",
+     ""),
+    ("moments --n 5 --k 3 --format csv", 0,
+     "fe7d63bb2d01aac379e038da03f43bc260d73d0afb41c7484f6fc5b5383689d6",
+     ""),
+    ("moments --n 5 --k 3 --format json", 0,
+     "451fd3e129c7717bf9ed0a87d21ecbc9b18b963974eda4fde9e0c213e1f07207",
+     ""),
+    ("moments --n 5 --k 3 --format text", 0,
+     "9ec4adfb3f01ded31b269cb60504d43b255be5ebbaad6ab7f04c4431ec6d20ce",
+     ""),
+    ("moments --n 1 --k 2 --format csv", 0,
+     "b740935a6fc1412862c8c0bb651571886b6cb1fab5febbeea9695af5a0b4ecbe",
+     ""),
+    ("moments --n 1 --k 2 --format json", 0,
+     "87234e1af609be521c6eb5418c37398f988b408346d1e1604eb87ec9b0fd20cf",
+     ""),
+    ("moments --n 1 --k 2 --format text", 0,
+     "3fe79872a3525d8b083e8a0a536a4cc4c33fe39848155f0b711479d23fda0dbd",
+     ""),
+    ("fit --k 2 --format csv", 0,
+     "894025f3f39bcd84bb60b75c0de9036637daeb070a0e1fe5dd9f662c44323904",
+     ""),
+    ("fit --k 2 --format json", 0,
+     "88530218a34fdaffddd08d4cc9f61bba1b794f8df4a3a7ff5f334626b1dfae64",
+     ""),
+    ("fit --k 2 --format text", 0,
+     "8dc0205e59feead719f8fb5db3852adb42f61768478bb2fe250d91e76a1f6e2c",
+     ""),
+    ("airy --k 1 --grid 36,144 --format csv", 0,
+     "554da87d691d0be0e451c766b82096db2823bad02e25641bc58dc22adbe6a62f",
+     ""),
+    ("airy --k 1 --grid 36,144 --format json", 0,
+     "80e13562b5a0bfaa3760bb05ff5e15fd92c86aa910dc19a55d2191434dfc8794",
+     ""),
+    ("airy --k 1 --grid 36,144 --format text", 0,
+     "5e8257cad0068d5d56606a6435a0128fcaf65b11e7a62b558ce8216d17bdef6a",
+     ""),
+    ("hist --n 5 --format csv", 0,
+     "d7124215cabb30dbc5d760814f8da672967824b08d6da994fb1b087cce864e27",
+     ""),
+    ("hist --n 5 --format json", 0,
+     "08ad748e478517f092e16f99aa17a7a5e2823687b57578bd2eb4ad19e60c29cd",
+     ""),
+    ("hist --n 5 --format text", 0,
+     "3fd3d4a34810b553ace8fc05c5769069950397fa326df4ec147b4f00f2a295ef",
+     ""),
+    ("hist --n 4 --scaled --format csv", 0,
+     "db0fd160cbed407becf3f81f49ab88f82fad3b494ac7399a08065a8deadd2e24",
+     ""),
+    ("hist --n 4 --scaled --format json", 0,
+     "21da6882f0dc0bf2a0f3984dd53110e769ae816b57197a0cc3c2c1183c7781af",
+     ""),
+    ("hist --n 4 --scaled --format text", 0,
+     "ebf37b5001022b5cff6cda579e01a5001cf05369e7ef5799f3a1f4b015851fc1",
+     ""),
+    ("verify --n 4 --budget 20000 --format csv", 0,
+     "a30c30d47f566536e32783918c70861a356ee454f0646a0ecbffa7447fa56820",
+     ""),
+    ("verify --n 4 --budget 20000 --format json", 0,
+     "2d295ff5c143b6df89473e3080c9c9bab4f7a1fd091850da42841b1aba0f90ea",
+     ""),
+    ("verify --n 4 --budget 20000 --format text", 0,
+     "d98ec04dd4a7a227484f9fa36aba12dea71b125946de89f0d3127ad279ab4671",
+     ""),
+    ("moments --n 0", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "moments: need n >= 1, a >= 1, order >= 1\n"),
+    ("genfun --n 50 --budget 100", 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "genfun: budget exceeded: generating-function coefficient slots needs "
+     "82177, cap is 100\n"),
+    ("airy --k 2 --grid 9,25", 4,
+     "52497126adff52f76f14c2f11d33c98c0f30cbcd962929eb1e4a2059ffb175ac",
+     "airy: convergence check failed for k in [1, 2]\n"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest,err", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_cli_output_bytes_are_pinned(argv, code, digest, err):
+    got_code, got_out, got_err = outcome(argv.split())
+    assert (got_code, got_err) == (code, err)
+    assert hashlib.sha256(got_out.encode()).hexdigest() == digest
 
 
 def test_each_command_takes_only_its_own_flags(capsys):
@@ -380,6 +500,11 @@ def test_out_to_missing_directory(tmp_path, capsys):
     assert out == ""
     assert err.count("\n") == 1 and str(target) in err
     assert not target.exists()
+    # an unwritable --out is a usage error even where the report would exit 4
+    code, out, err = run_cli(capsys, "airy", "--k", "2", "--grid", "9,25",
+                             "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and str(target) in err
 
 
 def test_out_writes_file(tmp_path, capsys):
