@@ -2,10 +2,17 @@
 
 Each command parses only the flags its handler reads, plus --threads,
 --format and --out.  Every command writes deterministic machine-readable
-output (csv, json, or text via --format) to stdout or --out.  Exit codes:
-0 ok, 2 usage error, 3 resource guard tripped, 4 mathematical verification
-failure.  Big numbers always print as exact decimal strings, never
-scientific notation.
+output (csv, json, or text via --format) to stdout or --out.  Big numbers
+always print as exact decimal strings, never scientific notation.
+
+Every handler computes its result once and hands it to _emit, which alone
+holds the output rules: it builds only the requested format, ends it with
+one newline, writes it, and turns a verification failure into exit 4.
+Exit codes: 0 ok; 2 usage error and 3 resource guard tripped, both with
+empty stdout and one stderr line (a flag argparse rejects also prints the
+usage text); 4 mathematical verification failure (fit, airy, verify), with
+the full report written first and then one stderr line.  An --out that
+cannot be written exits 2, also where the report would have exited 4.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from . import airy as airy_mod
 from .conjecture_fit import fit_moment
@@ -29,160 +37,144 @@ EXIT_RESOURCE = 3
 EXIT_VERIFY = 4
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+def _emit(args: argparse.Namespace, obj: Callable[[], object],
+          csv: Callable[[], str], text: Callable[[], str],
+          failure: str | None = None) -> int:
+    """Write the result in --format to --out or stdout; return the exit code.
+
+    obj (the JSON object), csv and text build one format each, and only the
+    requested one is called.  A failure is the one stderr line of a
+    verification failure, written after the full report.
+    """
+    if args.fmt == "json":
+        out = json.dumps(obj())
+    else:
+        out = csv() if args.fmt == "csv" else text()
+    if not out.endswith("\n"):
+        out += "\n"
     if args.out:
         try:
             with open(args.out, "w", newline="") as fh:
-                fh.write(text)
+                fh.write(out)
         except OSError as exc:
-            # reported by main() as a usage error, like any other bad value
-            raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
+            print(f"{args.command}: cannot write --out {args.out!r}: {exc.strerror}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(out)
+    if failure is None:
+        return EXIT_OK
+    print(failure, file=sys.stderr)
+    return EXIT_VERIFY
 
 
 def cmd_count(args: argparse.Namespace) -> int:
     if args.symbolic:
-        poly = count_symbolic(args.n)
-        if args.fmt == "json":
-            text = json.dumps({"n": args.n, "symbolic": str(poly)})
-        elif args.fmt == "csv":
-            text = f"n,polynomial\n{args.n},{poly}"
-        else:
-            text = str(poly)
+        header, row = "n,polynomial", {"n": args.n, "symbolic": str(count_symbolic(args.n))}
     else:
-        value = count(args.n, args.a)
-        if args.fmt == "json":
-            text = json.dumps({"n": args.n, "a": args.a, "count": str(value)})
-        elif args.fmt == "csv":
-            text = f"n,a,count\n{args.n},{args.a},{value}"
-        else:
-            text = str(value)
-    _emit(args, text)
-    return EXIT_OK
+        header, row = "n,a,count", {"n": args.n, "a": args.a,
+                                    "count": str(count(args.n, args.a))}
+    values = [str(v) for v in row.values()]
+    return _emit(args, lambda: row, lambda: f"{header}\n{','.join(values)}",
+                 lambda: values[-1])
 
 
 def cmd_genfun(args: argparse.Namespace) -> int:
     gf = area_genfun(args.n, args.a, budget=args.budget)
-    if args.fmt == "json":
-        text = json.dumps(gf.to_json_obj())
-    elif args.fmt == "csv":
-        text = gf.to_csv()
-    else:
+
+    def text() -> str:
         lines = [f"Q({args.n},{args.a}): {len(gf.poly.coeffs)} area values, "
                  f"total {gf.total}"]
         lines += [f"  area {m}: {c}" for m, c in enumerate(gf.poly.coeffs) if c]
-        text = "\n".join(lines)
-    _emit(args, text)
-    return EXIT_OK
+        return "\n".join(lines)
+
+    return _emit(args, gf.to_json_obj, gf.to_csv, text)
 
 
 def cmd_moments(args: argparse.Namespace) -> int:
     table = moment_table(args.n, args.a, args.k)
-    if args.fmt == "json":
-        text = json.dumps(table.to_json_obj())
-    elif args.fmt == "csv":
+
+    def csv() -> str:
         lines = ["j,factorial,raw,central,scaled_central,scaled_var_power"]
-        for j in range(1, args.k + 1):
-            sc = ("," .join((rat_str(table.scaled[j - 1][0]),
-                             rat_str(table.scaled[j - 1][1])))
-                  if table.scaled is not None else ",")
-            lines.append(f"{j},{rat_str(table.factorial[j - 1])},"
-                         f"{rat_str(table.raw[j - 1])},"
-                         f"{rat_str(table.central[j - 1])},{sc}")
-        text = "\n".join(lines)
-    else:
+        for j, row in enumerate(zip(table.factorial, table.raw, table.central), 1):
+            fields = [str(j), *map(rat_str, row)]
+            fields += (map(rat_str, table.scaled[j - 1]) if table.scaled is not None
+                       else ["", ""])
+            lines.append(",".join(fields))
+        return "\n".join(lines)
+
+    def text() -> str:
         lines = [f"moments of the area statistic at n={args.n}, a={args.a}",
                  f"  mean     = {rat_str(table.mean)}",
                  f"  variance = {rat_str(table.variance)}"]
-        for j in range(1, args.k + 1):
-            lines.append(f"  E_{j} (factorial) = {rat_str(table.factorial[j - 1])}")
+        lines += [f"  E_{j} (factorial) = {rat_str(e)}"
+                  for j, e in enumerate(table.factorial, 1)]
         if table.scaled is None:
             lines.append("  scaled moments undefined (variance = 0)")
         else:
-            for j in range(1, args.k + 1):
-                c, p = table.scaled[j - 1]
-                lines.append(f"  scaled_{j} = {rat_str(c)} * variance^(-{rat_str(p)})")
-        text = "\n".join(lines)
-    _emit(args, text)
-    return EXIT_OK
+            lines += [f"  scaled_{j} = {rat_str(c)} * variance^(-{rat_str(p)})"
+                      for j, (c, p) in enumerate(table.scaled, 1)]
+        return "\n".join(lines)
+
+    return _emit(args, table.to_json_obj, csv, text)
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     fit = fit_moment(args.k, general_a=args.general_a, n_max=args.n_max)
-    if args.fmt == "json":
-        text = json.dumps(fit.to_json_obj())
-    elif args.fmt == "csv":
+    verified = fit.status == "verified"
+
+    def csv() -> str:
         lines = ["poly,powers,coeff"]
         for name, poly in (("A", fit.a_poly), ("B", fit.b_poly)):
             for exps, c in poly.ordered_terms():
                 powers = " ".join(f"{s}^{e}" for s, e in zip(poly.symbols, exps))
                 lines.append(f"{name},{powers},{rat_str(c)}")
-        text = "\n".join(lines)
-    else:
-        if fit.status == "verified":
-            text = (fit.theorem_text()
-                    + f"\nverified on {len(fit.samples_used)} samples and "
-                      f"{len(fit.holdout_verified)} holdout points")
-        else:
-            text = f"fit failed: {fit.status}, witness {fit.witness}"
-    _emit(args, text)
-    if fit.status != "verified":
-        print(f"fit --k {args.k}: status {fit.status}, witness {fit.witness}",
-              file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
+        return "\n".join(lines)
+
+    def text() -> str:
+        if not verified:
+            return f"fit failed: {fit.status}, witness {fit.witness}"
+        return (fit.theorem_text()
+                + f"\nverified on {len(fit.samples_used)} samples and "
+                  f"{len(fit.holdout_verified)} holdout points")
+
+    return _emit(args, fit.to_json_obj, csv, text, failure=(
+        None if verified else f"fit --k {args.k}: status {fit.status}, witness {fit.witness}"))
 
 
 def cmd_airy(args: argparse.Namespace) -> int:
     grid = list(args.grid) or [50, 100, 200]
     report = airy_mod.asymptotic_check(args.k, grid)
-    if args.fmt == "json":
-        text = json.dumps(report.to_json_obj())
-    elif args.fmt == "csv":
-        text = report.to_csv()
-    else:
+    bad = [s.k for s in report.per_k if not (s.decreasing and s.below_threshold)]
+
+    def text() -> str:
         lines = [f"Airy moment convergence, k <= {args.k}, grid {grid}"]
-        for s in report.per_k:
-            lines.append(f"  k={s.k}: final deviation {s.final_deviation}, "
-                         f"decreasing={s.decreasing}, below_threshold={s.below_threshold}")
-        text = "\n".join(lines)
-    _emit(args, text)
-    if not report.ok:
-        bad = [s.k for s in report.per_k
-               if not (s.decreasing and s.below_threshold)]
-        print(f"airy: convergence check failed for k in {bad}", file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
+        lines += [f"  k={s.k}: final deviation {s.final_deviation}, "
+                  f"decreasing={s.decreasing}, below_threshold={s.below_threshold}"
+                  for s in report.per_k]
+        return "\n".join(lines)
+
+    return _emit(args, report.to_json_obj, report.to_csv, text, failure=(
+        f"airy: convergence check failed for k in {bad}" if bad else None))
 
 
 def cmd_hist(args: argparse.Namespace) -> int:
     if args.scaled:
         hist = scaled_histogram(args.n, args.a, precision=args.precision,
                                 budget=args.budget)
-        if args.fmt == "json":
-            text = json.dumps(hist.to_json_obj())
-        elif args.fmt == "csv":
-            text = hist.to_csv()
-        else:
-            lines = [f"scaled area histogram at n={args.n}, a={args.a}: "
-                     f"{len(hist.rows)} rows, total {hist.total}",
-                     f"  mean {rat_str(hist.mean)}, variance {rat_str(hist.variance)}"]
-            text = "\n".join(lines)
     else:
-        gf = area_genfun(args.n, args.a, budget=args.budget)
-        if args.fmt == "json":
-            text = json.dumps(gf.to_json_obj())
-        elif args.fmt == "csv":
-            text = gf.to_csv()
-        else:
-            text = (f"area histogram at n={args.n}, a={args.a}: "
-                    f"{len([c for c in gf.poly.coeffs if c])} rows, "
-                    f"total {gf.total}")
-    _emit(args, text)
-    return EXIT_OK
+        hist = area_genfun(args.n, args.a, budget=args.budget)
+
+    def text() -> str:
+        if args.scaled:
+            return (f"scaled area histogram at n={args.n}, a={args.a}: "
+                    f"{len(hist.rows)} rows, total {hist.total}\n"
+                    f"  mean {rat_str(hist.mean)}, variance {rat_str(hist.variance)}")
+        return (f"area histogram at n={args.n}, a={args.a}: "
+                f"{len([c for c in hist.poly.coeffs if c])} rows, "
+                f"total {hist.total}")
+
+    return _emit(args, hist.to_json_obj, hist.to_csv, text)
 
 
 def _verify_closed_form_suite(args: argparse.Namespace) -> tuple[str, bool, str]:
@@ -203,32 +195,26 @@ def _verify_oracle_suite(args: argparse.Namespace) -> tuple[str, bool, str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    checks: list[tuple[str, bool, str]] = []
-    if args.suite in ("closed-form", "all"):
-        checks.append(_verify_closed_form_suite(args))
-    if args.suite in ("oracle", "all"):
-        checks.append(_verify_oracle_suite(args))
+    suites = {"closed-form": _verify_closed_form_suite, "oracle": _verify_oracle_suite}
+    checks = [run(args) for name, run in suites.items() if args.suite in (name, "all")]
     ok = all(c[1] for c in checks)
-    if args.fmt == "json":
-        text = json.dumps({
-            "suite": args.suite,
-            "ok": ok,
-            "checks": [{"name": n, "ok": o, "detail": d} for n, o, d in checks],
-        })
-    elif args.fmt == "csv":
-        lines = ["check,ok,detail"]
-        lines += [f"{n},{str(o).lower()},\"{d}\"" for n, o, d in checks]
-        text = "\n".join(lines)
-    else:
+    failing = ", ".join(n for n, o, _ in checks if not o)
+
+    def obj() -> dict:
+        return {"suite": args.suite, "ok": ok,
+                "checks": [{"name": n, "ok": o, "detail": d} for n, o, d in checks]}
+
+    def csv() -> str:
+        return "\n".join(["check,ok,detail"]
+                         + [f"{n},{str(o).lower()},\"{d}\"" for n, o, d in checks])
+
+    def text() -> str:
         lines = [f"{'PASS' if o else 'FAIL'} {n}: {d}" for n, o, d in checks]
         lines.append("all checks passed" if ok else "VERIFICATION FAILED")
-        text = "\n".join(lines)
-    _emit(args, text)
-    if not ok:
-        failing = ", ".join(n for n, o, _ in checks if not o)
-        print(f"verify: failing invariants: {failing}", file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
+        return "\n".join(lines)
+
+    return _emit(args, obj, csv, text, failure=(
+        None if ok else f"verify: failing invariants: {failing}"))
 
 
 def positive_int(text: str) -> int:

@@ -20,7 +20,6 @@ proof-by-evaluation that the counts equal a(a+n)^(n-1).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .exactalg import SymPoly, binomial
@@ -68,15 +67,6 @@ def count_symbolic(n: int) -> SymPoly:
         polys.append(p)
         at_one.append(sum(p))
     return SymPoly.from_univariate(polys[n], "a")
-
-
-def closed_form_symbolic(n: int) -> SymPoly:
-    """a(a+n)^(n-1) expanded as a polynomial in a (n >= 1)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    terms = {(j + 1,): Fraction(binomial(n - 1, j) * n ** (n - 1 - j))
-             for j in range(n)}
-    return SymPoly(("a",), terms)
 
 
 class ClosedFormReport(NamedTuple):

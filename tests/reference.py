@@ -5,6 +5,10 @@ sum_{j=1..n} n!/((n-j)! (a+n)^(j-1)) and sum_{j=1..n} C(n,j) j! a (a+n)^(n-j)
 term by term, one big product per term, where moment_lab takes both from
 one binary-split Abel sum.
 
+closed_form_symbolic is count_symbolic's reference: a(a+n)^(n-1) expanded
+by the binomial theorem, where count_symbolic runs the exponential-formula
+recurrence in the shift a.
+
 dense_fit is the moment identities' reference: A_k and B_k by
 undetermined coefficients, an exact solve on the derivation's own re-check
 grid.
@@ -33,8 +37,8 @@ from operator import mul
 
 from parkstat.conjecture_fit import (MomentAnsatz, _default_points,
                                      _first_miss, _moment_data)
-from parkstat.exactalg import (LinSys, SymPoly, UniqueSolution, binomial_rows,
-                               solve_exact)
+from parkstat.exactalg import (LinSys, SymPoly, UniqueSolution, binomial,
+                               binomial_rows, solve_exact)
 
 
 def falling_sum(n: int, a: int) -> Fraction:
@@ -62,6 +66,15 @@ def p_prime_sum(n: int, a: int) -> int:
     val = head - tail / 2
     assert val.denominator == 1
     return val.numerator
+
+
+def closed_form_symbolic(n: int) -> SymPoly:
+    """a(a+n)^(n-1) expanded as a polynomial in a (n >= 1)."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    terms = {(j + 1,): Fraction(binomial(n - 1, j) * n ** (n - 1 - j))
+             for j in range(n)}
+    return SymPoly(("a",), terms)
 
 
 def jet_mul(p: list[int], q: list[int], width: int) -> list[int]:

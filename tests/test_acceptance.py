@@ -27,8 +27,8 @@ from parkstat import (airy_moments, area_genfun_many, asymptotic_check,
                       expectation_area, fit_moment, jet_many, oracle_pairs,
                       p_prime_closed, w_value)
 from parkstat.cli import main as cli_main
-from parkstat.counting_engine import closed_form_symbolic
 from parkstat.exactalg import SymPoly, binomial
+from reference import closed_form_symbolic
 
 BUDGET = 10**7
 

@@ -5,12 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from parkstat import backend
-from parkstat.counting_engine import (ClosedFormReport, closed_form_symbolic,
-                                      count, count_symbolic,
+from parkstat.counting_engine import (ClosedFormReport, count, count_symbolic,
                                       verify_closed_form)
 from parkstat.exactalg import SymPoly
 from parkstat.genfun_engine import _sweep, jet_many
 from parkstat.parking_core import brute_histogram
+from reference import closed_form_symbolic
 
 
 @pytest.mark.parametrize("n,a,expected", [
