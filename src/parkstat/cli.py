@@ -37,7 +37,7 @@ EXIT_RESOURCE = 3
 EXIT_VERIFY = 4
 
 
-def _emit(args: argparse.Namespace, obj: Callable[[], object],
+def _emit(args: argparse.Namespace, obj: Callable[[], dict],
           csv: Callable[[], str], text: Callable[[], str],
           failure: str | None = None) -> int:
     """Write the result in --format to --out or stdout; return the exit code.
@@ -70,13 +70,13 @@ def _emit(args: argparse.Namespace, obj: Callable[[], object],
 
 def cmd_count(args: argparse.Namespace) -> int:
     if args.symbolic:
-        header, row = "n,polynomial", {"n": args.n, "symbolic": str(count_symbolic(args.n))}
+        result = str(count_symbolic(args.n))
+        header, row = "n,polynomial", {"n": args.n, "symbolic": result}
     else:
-        header, row = "n,a,count", {"n": args.n, "a": args.a,
-                                    "count": str(count(args.n, args.a))}
-    values = [str(v) for v in row.values()]
-    return _emit(args, lambda: row, lambda: f"{header}\n{','.join(values)}",
-                 lambda: values[-1])
+        result = str(count(args.n, args.a))
+        header, row = "n,a,count", {"n": args.n, "a": args.a, "count": result}
+    return _emit(args, lambda: row, lambda: f"{header}\n{','.join(map(str, row.values()))}",
+                 lambda: result)
 
 
 def cmd_genfun(args: argparse.Namespace) -> int:
