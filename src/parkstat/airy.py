@@ -45,9 +45,6 @@ class AiryMoment(NamedTuple):
     def split(self) -> TwoPiPow:
         return TwoPiPow(self.r, self.h)
 
-    def decimal(self, sig: int = RATIO_DIGITS) -> Decimal:
-        return self.split.decimal(sig)
-
     def __str__(self) -> str:
         return f"e_{self.k} = {self.split}"
 
@@ -98,10 +95,6 @@ class AsymptoticReport(NamedTuple):
     threshold: str
     rows: tuple[RatioRow, ...]
     per_k: tuple[KSummary, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(s.decreasing and s.below_threshold for s in self.per_k)
 
     def to_csv(self) -> str:
         lines = ["k,n,ratio,deviation"]

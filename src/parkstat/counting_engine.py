@@ -1,21 +1,24 @@
-"""Exact counting of a-parking functions by recurrence, not by closed form.
+"""Exact counts of a-parking functions: numeric, symbolic in a, and checked.
 
-With p(n, a) the number of a-parking functions of length n, moving the k = 0
-term of the fundamental recurrence to the left gives
+count takes p(n, a) = Q(n,a)(1) from the jet engine at order 0, i.e. from
+the order-0 Lagrange-inversion sum of each state, g_0 - g_1 with
+g_l = n^{falling l} (a+n)^{n-l}, run by the same suffix-sum loop as every
+higher order (see genfun_engine).  Algebraically g_0 - g_1 is the closed
+form a(a+n)^(n-1); verify_closed_form checks the loop against that closed
+form evaluated on its own, a proof by evaluation once a_max >= n_max + 1.
+
+The tests' reference for the counts is the fundamental recurrence: with
+p(n, a) the number of a-parking functions of length n, moving its k = 0
+term to the left gives
 
     p(n, a) = p(n, a-1) + sum_{k=1..n} C(n,k) p(n-k, a+k-1),
     p(0, a) = 1,  p(n, 0) = 0 for n >= 1.
 
-count takes p(n, a) = Q(n,a)(1) from the jet engine at order 0, i.e. from
-one Lagrange-inversion sum per state, g_0 - g_1 with
-g_l = n^{falling l} (a+n)^{n-l}, run by the same suffix-sum loop as every
-higher order (see genfun_engine).
-The anti-diagonal sweep of the recurrence above (kernels.count_step) is kept
-only as the test-time cross-check of those counts, like kernels.jet_step.
-count_symbolic keeps the shift symbolic in the exponential-formula law
+No production path sweeps it; its anti-diagonal kernel (kernels.count_step)
+is the test-time cross-check of the counts, like kernels.jet_step for the
+jets.  count_symbolic keeps the shift symbolic in the exponential-formula law
 log E_a(z) = sum_m [am]_x Q(m-1,1) z^m/m! at x = 1, where it becomes an
-integer recurrence on coefficient lists in a, and verify_closed_form is the
-proof-by-evaluation that the counts equal a(a+n)^(n-1).
+integer recurrence on coefficient lists in a.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .genfun_engine import jet_many
 
 
 def count(n: int, a: int = 1) -> int:
-    """Number of a-parking functions of length n, by the jet recurrence.
+    """Number of a-parking functions of length n, from the jet engine.
 
     The order-0 jet of Q(n,a) at x = 1 is the count; see jet_many.
     """

@@ -7,7 +7,7 @@ result.  The building blocks are:
   * rationals                     -- fractions.Fraction, always reduced
   * PolyX                         -- dense univariate polynomial with int
                                      coefficients (trailing zeros trimmed,
-                                     degree of the zero polynomial is None)
+                                     so the zero polynomial has none)
   * SymPoly                       -- sparse polynomial with Fraction
                                      coefficients over a declared symbol set
   * LinSys / solve_exact          -- exact rational linear solve: a
@@ -29,9 +29,10 @@ the classes hold, read, evaluate, reverse and print them.  Neither adds or
 multiplies polynomials.  `interpolate` turns values at x = 1..m into
 coefficients.
 
-Decimal strings only appear at the output boundary (to_sig_str, sqrt_decimal),
-with an explicit number of significant digits.  All values are immutable
-after construction and safe to share between threads.
+Decimals only appear at the output boundary (sqrt_decimal, _pi_decimal for
+the odd Airy ratios, to_sig_str), with an explicit number of significant
+digits; no record renders its own.  All values are immutable after
+construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -101,8 +102,9 @@ def interpolate(values: Sequence[RatLike]) -> list[Fraction]:
 class PolyX:
     """Dense polynomial in x with int coefficients, coeffs[m] ~ x^m.
 
-    Instances are immutable.  The zero polynomial has an empty coefficient
-    tuple and degree None (a tagged marker, never -1).
+    Instances are immutable.  Trailing zero coefficients are trimmed, so
+    len(coeffs) - 1 is the degree and the zero polynomial has an empty
+    coefficient tuple.
     """
 
     __slots__ = ("coeffs",)
@@ -119,10 +121,6 @@ class PolyX:
     @classmethod
     def zero(cls) -> PolyX:
         return cls(())
-
-    @property
-    def degree(self) -> int | None:
-        return len(self.coeffs) - 1 if self.coeffs else None
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -532,14 +530,6 @@ class TwoPiPow(_TwoPiPowFields):
         if h not in (0, 1):
             raise ValueError("h must be 0 or 1")
         return super().__new__(cls, r, h)
-
-    def decimal(self, sig: int = 20) -> Decimal:
-        with localcontext() as ctx:
-            ctx.prec = sig + 10
-            val = Decimal(self.r.numerator) / Decimal(self.r.denominator)
-            if self.h:
-                val *= (2 * _pi_decimal(sig + 10)).sqrt()
-            return +val
 
     def __str__(self) -> str:
         if self.h == 0:

@@ -10,14 +10,15 @@ It satisfies the shifted analog of the counting recurrence,
 and P(n,a)(x) (the sum-statistic analog) is its coefficient reversal at
 offset n(2a+n-1)/2.
 
-Two engines compute Q:
+Two engines compute Q, each for its own consumers:
 
-  * area_genfun materializes the full coefficient vector of Q by sweeping
-    anti-diagonals of the state triangle with this recurrence, retiring a
-    diagonal as soon as the sweep passes it (the audit path; memory grows
-    with n^3);
-  * jet_at_one carries only (Q(1), Q'(1), ..., Q^(K)(1)) per state (the
-    performance path; this is what makes n in the hundreds cheap).
+  * area_genfun is the only engine that gives every coefficient of Q.  It
+    sweeps anti-diagonals of the state triangle with this recurrence,
+    retiring a diagonal as soon as the sweep passes it (memory grows with
+    n^3).  genfun, hist and verify's oracle suite read it;
+  * jet_many carries only (Q(1), Q'(1), ..., Q^(K)(1)) per state, which is
+    what makes n in the hundreds cheap.  count, moments, fit and airy read
+    it.
 
 The jets never use the triangle; every shift runs one path.  Write
 E_a(z) = sum_m Q(m,a) z^m/m! and x = 1+q.  The shift decomposition of

@@ -130,22 +130,6 @@ class MomentTable(NamedTuple):
     def mean(self) -> Fraction:
         return self.raw[0]
 
-    def scaled_decimal(self, j: int, precision: int = 15) -> Decimal:
-        """Scaled moment j rendered as a decimal (variance must be > 0)."""
-        if not 1 <= j <= self.order:
-            raise ValueError(f"need 1 <= j <= {self.order}, got j={j}")
-        if self.scaled is None:
-            raise ValueError("scaled moments undefined: variance is zero")
-        central_j, var_power = self.scaled[j - 1]
-        with localcontext() as ctx:
-            ctx.prec = precision + 10
-            num = Decimal(central_j.numerator) / Decimal(central_j.denominator)
-            vp = self.variance ** var_power.numerator  # var_power = j/2, reduced
-            denom = Decimal(vp.numerator) / Decimal(vp.denominator)
-            if var_power.denominator == 2:
-                denom = denom.sqrt()
-            return +(num / denom)
-
     def to_json_obj(self) -> dict:
         obj = {
             "n": self.n,

@@ -30,12 +30,6 @@ def test_parity_invariant():
         assert m.r > 0
 
 
-def test_moment_decimals():
-    m1, m2 = airy_moments(2)
-    assert str(m1.decimal(12)).startswith("0.6266570686")
-    assert str(m2.decimal(12)).startswith("0.4166666666")
-
-
 def test_airy_moments_validation():
     with pytest.raises(ValueError):
         airy_moments(0)
@@ -43,7 +37,8 @@ def test_airy_moments_validation():
 
 def test_asymptotic_check_small_grid():
     report = asymptotic_check(2, [9, 36, 144])
-    assert report.ok is False or report.ok is True  # structural smoke
+    # k = 2 ends at deviation 0.2533 at n = 144, just above THRESHOLD = 1/4
+    assert [s.below_threshold for s in report.per_k] == [True, False]
     assert len(report.rows) == 6
     for summary in report.per_k:
         assert summary.decreasing  # deviations shrink as n quadruples

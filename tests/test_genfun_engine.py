@@ -19,7 +19,7 @@ from parkstat.exactalg import PolyX
 from parkstat.genfun_engine import (_sweep, abel_sum, area_genfun,
                                     area_genfun_many, jet_at_one, jet_many,
                                     sum_genfun)
-from parkstat.moment_lab import moment_table
+from parkstat.moment_lab import expectation_area, moment_table
 from parkstat.parking_core import brute_histogram, max_area
 from reference import convolution_jets, reference_jets
 
@@ -42,7 +42,7 @@ def test_area_genfun_invariants():
         for a in range(1, 4):
             gf = area_genfun(n, a)
             assert gf.total == a * (a + n) ** (n - 1) == count(n, a)
-            assert gf.poly.degree == n * (2 * a + n - 3) // 2 == max_area(n, a)
+            assert len(gf.poly.coeffs) - 1 == n * (2 * a + n - 3) // 2 == max_area(n, a)
             assert gf.poly.coeffs[-1] == 1
         assert area_genfun(n, 1).poly.coeffs[0] == math.factorial(n)
 
@@ -65,9 +65,23 @@ def test_sum_genfun_invariants():
         for a in range(1, 4):
             p = sum_genfun(n, a)
             assert p.eval_one() == count(n, a)
-            assert p.degree == n * (2 * a + n - 1) // 2
+            assert len(p.coeffs) - 1 == n * (2 * a + n - 1) // 2
             lowest = next(m for m, c in enumerate(p.coeffs) if c)
             assert lowest == n  # the all-ones function
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 16), a=st.integers(1, 10))
+def test_area_and_sum_genfun_properties(n, a):
+    coeffs = area_genfun(n, a).poly.coeffs
+    total = sum(coeffs)
+    assert total == a * (a + n) ** (n - 1)
+    assert coeffs[-1] == 1
+    assert len(coeffs) - 1 == max_area(n, a)
+    # the mean area against the Abel-sum closed form, an independent path
+    assert Fraction(sum(m * c for m, c in enumerate(coeffs)), total) == expectation_area(n, a)
+    # x^n is the lowest term: only the all-ones function sums to n
+    assert sum_genfun(n, a).coeffs[:n + 1] == (0,) * n + (1,)
 
 
 def test_sum_genfun_needs_positive_n():
