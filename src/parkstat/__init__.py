@@ -5,7 +5,7 @@ identities derived from the jets, and the Airy-distribution limit check --
 all in exact big-integer / rational arithmetic.
 """
 
-from .airy import AiryMoment, airy_moments, asymptotic_check
+from .airy import airy_moments, asymptotic_check
 from .backend import BACKEND
 from .conjecture_fit import (FitResult, MomentAnsatz, fit_moment,
                              leading_asymptotics, verify_fit)
@@ -24,7 +24,7 @@ from .parking_core import (area_stat, brute_histogram, is_a_parking,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AiryMoment", "AreaGenFun", "BACKEND", "BudgetExceeded",
+    "AreaGenFun", "BACKEND", "BudgetExceeded",
     "FitResult", "JetAtOne", "LinSys", "MomentAnsatz",
     "MomentTable", "PolyX", "ScaledHistogram", "SymPoly", "TwoPiPow",
     "airy_moments", "area_genfun", "area_genfun_many", "area_stat",

@@ -18,6 +18,8 @@ drift fails loudly.
 asymptotic_check then renders, for each k, the exact ratio
 E_k(n,1) / (m_k n^(3k/2)) on a grid of n values and reports whether the
 deviations |ratio - 1| shrink along the grid and end below THRESHOLD.
+Each ratio is one decimal division of integers taken straight from the
+jets and the moment, with no reduced Fraction of the jets' big values.
 """
 
 from __future__ import annotations
@@ -27,30 +29,15 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactalg import TwoPiPow, _pi_decimal, rat_str, to_sig_str
+from .exactalg import PI_40, TwoPiPow, rat_str, to_sig_str
 from .genfun_engine import jet_many
 
 RATIO_DIGITS = 20
 THRESHOLD = Fraction(1, 4)
 
 
-class AiryMoment(NamedTuple):
-    """k-th raw moment of the Airy distribution: value r * (2*pi)^(h/2)."""
-
-    k: int
-    r: Fraction
-    h: int
-
-    @property
-    def split(self) -> TwoPiPow:
-        return TwoPiPow(self.r, self.h)
-
-    def __str__(self) -> str:
-        return f"e_{self.k} = {self.split}"
-
-
-def airy_moments(order: int) -> list[AiryMoment]:
-    """Exact moments e_1..e_order in split form, h = k mod 2."""
+def airy_moments(order: int) -> tuple[TwoPiPow, ...]:
+    """Exact moments e_1..e_order in split form, e_k at index k-1, h = k mod 2."""
     if order < 1:
         raise ValueError("need order >= 1")
     v = [Fraction(-1, 2)]
@@ -65,14 +52,13 @@ def airy_moments(order: int) -> list[AiryMoment]:
             # sqrt(pi) to make sqrt(2*pi)
             r = 4 * math.factorial(k) * v[k] * 2 ** ((k - 1) // 2) \
                 / math.factorial((3 * k - 3) // 2)
-            out.append(AiryMoment(k=k, r=r, h=1))
         else:
             m = (3 * k - 2) // 2
             gamma_ratio = Fraction(4**m * math.factorial(m),
                                    math.factorial(2 * m))
             r = 4 * math.factorial(k) * v[k] * 2 ** (k // 2) * gamma_ratio
-            out.append(AiryMoment(k=k, r=r, h=0))
-    return out
+        out.append(TwoPiPow(r, k % 2))
+    return tuple(out)
 
 
 class RatioRow(NamedTuple):
@@ -90,9 +76,8 @@ class KSummary(NamedTuple):
 
 
 class AsymptoticReport(NamedTuple):
-    order: int
+    moments: tuple[TwoPiPow, ...]  # e_1..e_K, e_k at index k-1
     grid: tuple[int, ...]
-    threshold: str
     rows: tuple[RatioRow, ...]
     per_k: tuple[KSummary, ...]
 
@@ -102,13 +87,12 @@ class AsymptoticReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> dict:
-        moments = airy_moments(self.order)
         return {
-            "k_max": self.order,
+            "k_max": len(self.moments),
             "grid": list(self.grid),
-            "threshold": self.threshold,
-            "moments": [{"k": m.k, "r": rat_str(m.r), "h": m.h}
-                        for m in moments],
+            "threshold": rat_str(THRESHOLD),
+            "moments": [{"k": k, "r": rat_str(m.r), "h": m.h}
+                        for k, m in enumerate(self.moments, 1)],
             "rows": [{"k": r.k, "n": r.n, "ratio": r.ratio,
                       "deviation": r.deviation} for r in self.rows],
             "per_k": [{"k": s.k, "decreasing": s.decreasing,
@@ -134,15 +118,11 @@ def asymptotic_check(order: int, grid: list[int]) -> AsymptoticReport:
     rows: list[RatioRow] = []
     summaries: list[KSummary] = []
     with localcontext() as ctx:
-        ctx.prec = RATIO_DIGITS + 20
-        thr = Decimal(THRESHOLD.numerator) / Decimal(THRESHOLD.denominator)
-        for k in range(1, order + 1):
-            mom = moments[k - 1]
+        ctx.prec = RATIO_DIGITS + 20  # the digits PI_40 carries
+        for k, moment in enumerate(moments, 1):
             devs: list[Decimal] = []
             for n in grid:
-                values = jets[(n, 1)].values  # values[0] = Q(n,1)(1), the count
-                ek = Fraction(values[k], values[0])
-                ratio = _ratio_decimal(k, n, mom, ek)
+                ratio = _ratio_decimal(k, n, moment, jets[(n, 1)].values)
                 dev = abs(ratio - 1)
                 devs.append(dev)
                 rows.append(RatioRow(k=k, n=n,
@@ -153,20 +133,22 @@ def asymptotic_check(order: int, grid: list[int]) -> AsymptoticReport:
                 k=k,
                 decreasing=decreasing,
                 final_deviation=to_sig_str(devs[-1], RATIO_DIGITS),
-                below_threshold=devs[-1] < thr,
+                below_threshold=devs[-1] < THRESHOLD,
             ))
-    return AsymptoticReport(order=order, grid=tuple(grid),
-                            threshold=rat_str(THRESHOLD),
+    return AsymptoticReport(moments=moments, grid=tuple(grid),
                             rows=tuple(rows), per_k=tuple(summaries))
 
 
-def _ratio_decimal(k: int, n: int, moment: AiryMoment,
-                   ek_value: Fraction) -> Decimal:
-    if k % 2 == 0:
-        exact = ek_value / (moment.r * Fraction(n) ** (3 * k // 2))
-        return Decimal(exact.numerator) / Decimal(exact.denominator)
-    # odd k: e_k n^(3k/2) = r sqrt(2*pi) n^((3k-1)/2) sqrt(n)
-    exact = ek_value / (moment.r * Fraction(n) ** ((3 * k - 1) // 2))
-    num = Decimal(exact.numerator) / Decimal(exact.denominator)
-    two_pi_n = 2 * _pi_decimal(RATIO_DIGITS + 20) * n
-    return num / two_pi_n.sqrt()
+def _ratio_decimal(k: int, n: int, moment: TwoPiPow,
+                   values: tuple[int, ...]) -> Decimal:
+    """E_k(n,1) / (e_k n^(3k/2)) at the context's precision.
+
+    With E_k = values[k]/values[0] (values[0] = Q(n,1)(1), the count) and
+    e_k = r (2*pi)^(h/2), the rational part is one correctly rounded
+    division of exact integers; odd k then divide by sqrt(2*pi*n).
+    """
+    ratio = (Decimal(values[k] * moment.r.denominator)
+             / Decimal(values[0] * moment.r.numerator * n ** (3 * k // 2)))
+    if moment.h:
+        ratio /= (2 * PI_40 * n).sqrt()
+    return ratio

@@ -29,8 +29,8 @@ the classes hold, read, evaluate, reverse and print them.  Neither adds or
 multiplies polynomials.  `interpolate` turns values at x = 1..m into
 coefficients.
 
-Decimals only appear at the output boundary (sqrt_decimal, _pi_decimal for
-the odd Airy ratios, to_sig_str), with an explicit number of significant
+Decimals only appear at the output boundary (sqrt_decimal, PI_40 for the
+odd Airy ratios, to_sig_str), with an explicit number of significant
 digits; no record renders its own.  All values are immutable after
 construction and safe to share between threads.
 """
@@ -531,35 +531,10 @@ class TwoPiPow(_TwoPiPowFields):
             raise ValueError("h must be 0 or 1")
         return super().__new__(cls, r, h)
 
-    def __str__(self) -> str:
-        if self.h == 0:
-            return str(self.r)
-        return f"{self.r}*sqrt(2*pi)"
 
-
-def _pi_decimal(prec: int) -> Decimal:
-    # Machin-like arctan series; deterministic at any precision
-    with localcontext() as ctx:
-        ctx.prec = prec + 10
-
-        def arctan_inv(x: int) -> Decimal:
-            # the terms shrink strictly, so once one no longer changes the
-            # rounded total, none after it would
-            total = term = Decimal(1) / x
-            xsq = x * x
-            k = 3
-            while True:
-                term /= xsq
-                nxt = total - term / k if (k // 2) % 2 else total + term / k
-                if nxt == total:
-                    return total
-                total = nxt
-                k += 2
-
-        pi = 16 * arctan_inv(5) - 4 * arctan_inv(239)
-    with localcontext() as ctx:
-        ctx.prec = prec
-        return +pi
+# pi correctly rounded to 40 significant digits, the precision the Airy
+# ratios are computed at
+PI_40 = Decimal("3.141592653589793238462643383279502884197")
 
 
 # ---------------------------------------------------------------------------

@@ -112,9 +112,7 @@ class MomentTable(NamedTuple):
     """Factorial, raw, central and scaled moments of the area statistic.
 
     Index i holds the (i+1)-st moment.  `variance` is the second central
-    moment, held even at order 1.  `scaled` entries are exact split pairs
-    (central_j, var_power) meaning central_j * variance^(-var_power); it is
-    None when the variance vanishes (scaled moments undefined).
+    moment, held even at order 1.
     """
 
     n: int
@@ -124,11 +122,19 @@ class MomentTable(NamedTuple):
     raw: tuple[Fraction, ...]
     central: tuple[Fraction, ...]
     variance: Fraction
-    scaled: tuple[tuple[Fraction, Fraction], ...] | None
 
     @property
     def mean(self) -> Fraction:
         return self.raw[0]
+
+    @property
+    def scaled(self) -> tuple[tuple[Fraction, Fraction], ...] | None:
+        """Exact split pairs (central_j, j/2) meaning central_j * variance^(-j/2),
+        left unrendered since variance^(j/2) is irrational for odd j; None when
+        the variance vanishes (scaled moments undefined)."""
+        if self.variance <= 0:
+            return None
+        return tuple((c, Fraction(j, 2)) for j, c in enumerate(self.central, 1))
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -150,13 +156,11 @@ class MomentTable(NamedTuple):
 
 
 def convert_moments(factorial: list[Fraction]) -> tuple[
-        tuple[Fraction, ...], tuple[Fraction, ...],
-        tuple[tuple[Fraction, Fraction], ...] | None]:
-    """Factorial -> (raw, central, scaled split form).
+        tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Factorial -> (raw, central).
 
     raw_j = sum_k S(j,k) factorial_k; central by binomial expansion about
-    the mean; scaled_j left as (central_j, j/2) since variance^(j/2) is
-    irrational for odd j.  Scaled is None when the variance is zero.
+    the mean.
     """
     order = len(factorial)
     factorial = [Fraction(x) for x in factorial]
@@ -170,23 +174,17 @@ def convert_moments(factorial: list[Fraction]) -> tuple[
         c = sum(binomial(j, i) * full_raw[i] * (-mean) ** (j - i)
                 for i in range(0, j + 1))
         central.append(c)
-    if order >= 2 and central[1] > 0:
-        scaled = tuple((central[j - 1], Fraction(j, 2))
-                       for j in range(1, order + 1))
-    else:
-        scaled = None
-    return tuple(raw), tuple(central), scaled
+    return tuple(raw), tuple(central)
 
 
 def moment_table(n: int, a: int = 1, order: int = 2) -> MomentTable:
     """Moments 1..order; at order 1, the prefix of the order-2 table."""
-    # the variance and the scaled moments need the second moment
+    # the variance needs the second moment
     fact = factorial_moments(n, a, 2 if order == 1 else order)
-    raw, central, scaled = convert_moments(fact)
+    raw, central = convert_moments(fact)
     return MomentTable(n=n, a=a, order=order, factorial=tuple(fact[:order]),
                        raw=raw[:order], central=central[:order],
-                       variance=central[1],
-                       scaled=None if scaled is None else scaled[:order])
+                       variance=central[1])
 
 
 class HistogramRow(NamedTuple):
@@ -201,7 +199,6 @@ class ScaledHistogram(NamedTuple):
 
     n: int
     a: int
-    precision: int
     mean: Fraction
     variance: Fraction
     rows: tuple[HistogramRow, ...]
@@ -251,17 +248,16 @@ def scaled_histogram(n: int, a: int = 1, precision: int = 15,
     with localcontext() as ctx:
         ctx.prec = precision + 10
         sigma = sqrt_decimal(variance, precision + 10)
-        total_d = Decimal(total)
         rows = []
         for m, c in enumerate(poly.coeffs):
             if not c:
                 continue
-            x = (Decimal((m - mean).numerator) / Decimal((m - mean).denominator)) / sigma
-            density = Decimal(c) * sigma / total_d
+            x = Decimal(m * total - m1) / total / sigma
+            density = c * sigma / total
             rows.append(HistogramRow(
                 area=m, count=c,
                 x=to_sig_str(x, precision),
                 density=to_sig_str(density, precision),
             ))
-    return ScaledHistogram(n=n, a=a, precision=precision, mean=mean,
-                           variance=variance, rows=tuple(rows))
+    return ScaledHistogram(n=n, a=a, mean=mean, variance=variance,
+                           rows=tuple(rows))

@@ -29,16 +29,30 @@ which at a = 1 is the Kreweras convolution itself.  Jets are held in the
 Taylor basis T_i = Q^(i)(1)/i!, where products are truncated Leibniz
 convolutions and the bracket [e]_x is the jet C(e, t+1).  The cost is
 O(n^2 K^2) big-by-big products per shift.
+
+fraction_ratio_rows and fraction_hist_rows are the decimal rendering's
+reference: each Airy ratio and each histogram x goes through a reduced
+Fraction before its one decimal division, where the engines divide the
+unreduced integers, and pi comes from PI_110 rather than the engine's
+constant.
 """
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from operator import mul
 
+from parkstat.airy import airy_moments
 from parkstat.conjecture_fit import (MomentAnsatz, _default_points,
                                      _first_miss, _moment_data)
 from parkstat.exactalg import (LinSys, SymPoly, UniqueSolution, binomial,
-                               binomial_rows, solve_exact)
+                               binomial_rows, solve_exact, sqrt_decimal,
+                               to_sig_str)
+from parkstat.genfun_engine import jet_many
+
+# pi to 110 significant digits
+PI_110 = ("3.1415926535897932384626433832795028841971693993751058209749445923"
+          "078164062862089986280348253421170679821480865")
 
 
 def falling_sum(n: int, a: int) -> Fraction:
@@ -172,3 +186,38 @@ def dense_fit(k: int, general_a: bool) -> tuple[SymPoly, SymPoly]:
     b_poly = SymPoly(ansatz.symbols, dict(zip(basis_b, sol.values[na:])))
     assert _first_miss(a_poly, b_poly, holdout, data) is None
     return a_poly, b_poly
+
+
+def fraction_ratio_rows(order: int, grid) -> list[tuple[int, int, str, str]]:
+    """(k, n, ratio, deviation) of asymptotic_check's rows, each ratio from
+    the reduced Fraction E_k / (r n^floor(3k/2))."""
+    jets = jet_many([(n, 1) for n in grid], order)
+    rows = []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for k, m in enumerate(airy_moments(order), 1):
+            for n in grid:
+                values = jets[(n, 1)].values
+                exact = Fraction(values[k], values[0]) / (m.r * Fraction(n) ** (3 * k // 2))
+                ratio = Decimal(exact.numerator) / Decimal(exact.denominator)
+                if m.h:
+                    ratio /= (2 * +Decimal(PI_110) * n).sqrt()
+                rows.append((k, n, to_sig_str(ratio, 20), to_sig_str(abs(ratio - 1), 20)))
+    return rows
+
+
+def fraction_hist_rows(coeffs, precision: int) -> list[tuple[int, int, str, str]]:
+    """(area, count, x, density) of the scaled histogram, x from m - mean."""
+    total = sum(coeffs)
+    mean = Fraction(sum(m * c for m, c in enumerate(coeffs)), total)
+    variance = Fraction(sum(m * m * c for m, c in enumerate(coeffs)), total) - mean**2
+    rows = []
+    with localcontext() as ctx:
+        ctx.prec = precision + 10
+        sigma = sqrt_decimal(variance, precision + 10)
+        for m, c in enumerate(coeffs):
+            if c:
+                x = Decimal((m - mean).numerator) / Decimal((m - mean).denominator) / sigma
+                density = Decimal(c) * sigma / Decimal(total)
+                rows.append((m, c, to_sig_str(x, precision), to_sig_str(density, precision)))
+    return rows

@@ -4,8 +4,12 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parkstat.airy import airy_moments, asymptotic_check
+from parkstat.moment_lab import scaled_histogram
+from reference import fraction_hist_rows, fraction_ratio_rows
 
 # independently known values of the first six moments; they pin the
 # transcription of the moment recurrence
@@ -25,8 +29,8 @@ def test_first_six_moments_pinned():
 
 
 def test_parity_invariant():
-    for m in airy_moments(12):
-        assert m.h == m.k % 2
+    for k, m in enumerate(airy_moments(12), 1):
+        assert m.h == k % 2
         assert m.r > 0
 
 
@@ -59,6 +63,22 @@ def test_asymptotic_check_deviation_halves_when_n_quadruples():
         devs = [Decimal(r.deviation) for r in report.rows if r.k == k]
         ratio = devs[1] / devs[0]
         assert Decimal("0.3") < ratio < Decimal("0.8"), (k, ratio)
+
+
+@settings(max_examples=40, deadline=None)
+@given(order=st.integers(1, 8),
+       grid=st.lists(st.integers(1, 400), min_size=1, max_size=4, unique=True).map(sorted),
+       n=st.integers(2, 30), a=st.integers(1, 5), precision=st.integers(1, 40))
+def test_ratio_and_x_strings_match_fraction_reference(order, grid, n, a, precision):
+    # the engines divide unreduced integers; correctly rounded division
+    # gives the reduced-Fraction rendering's digits exactly
+    report = asymptotic_check(order, grid)
+    assert [tuple(r) for r in report.rows] == fraction_ratio_rows(order, grid)
+    hist = scaled_histogram(n, a, precision)
+    coeffs = [0] * (hist.rows[-1].area + 1)
+    for r in hist.rows:
+        coeffs[r.area] = r.count
+    assert [tuple(r) for r in hist.rows] == fraction_hist_rows(coeffs, precision)
 
 
 def test_asymptotic_check_grid_validation():

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parkstat import exactalg
-from parkstat.exactalg import (_PRIMES, Inconsistent, LinSys, PolyX, SymPoly, TwoPiPow,
-                               Underdetermined, UniqueSolution, _gauss_jordan,
-                               _pi_decimal, _solve_modular, binomial, binomial_rows,
+from parkstat.exactalg import (_PRIMES, PI_40, Inconsistent, LinSys, PolyX, SymPoly,
+                               TwoPiPow, Underdetermined, UniqueSolution, _gauss_jordan,
+                               _solve_modular, binomial, binomial_rows,
                                interpolate, rat_str, solve_exact, to_sig_str,
                                sqrt_decimal)
+from reference import PI_110
 
 
 @pytest.mark.parametrize("n,k,expected", [(4, 2, 6), (7, 0, 1), (5, 9, 0)])
@@ -326,8 +327,9 @@ def test_sympoly_format():
 
 
 def test_two_pi_pow():
-    assert str(TwoPiPow(Fraction(1, 4), 1)) == "1/4*sqrt(2*pi)"
-    assert str(TwoPiPow(Fraction(5, 12), 0)) == "5/12"
+    # (r, h) is the value r * (2*pi)^(h/2); h outside {0, 1} is refused
+    assert tuple(TwoPiPow(Fraction(1, 4), 1)) == (Fraction(1, 4), 1)
+    assert tuple(TwoPiPow(h=0, r=Fraction(5, 12))) == (Fraction(5, 12), 0)
     with pytest.raises(ValueError):
         TwoPiPow(Fraction(1), 2)
     with pytest.raises(ValueError):
@@ -354,15 +356,10 @@ def test_decimal_rendering():
     assert str(s).startswith("1.414213562373095")
 
 
-# pi to 110 significant digits
-PI_110 = ("3.1415926535897932384626433832795028841971693993751058209749445923"
-          "078164062862089986280348253421170679821480865")
-
-
 def test_pi_decimal_matches_reference_digits():
-    for prec in range(1, 101):
-        with localcontext() as ctx:
-            ctx.prec = prec
-            ctx.rounding = ROUND_HALF_EVEN
-            want = +Decimal(PI_110)
-        assert str(_pi_decimal(prec)) == str(want)
+    # PI_40 is the 110-digit reference rounded half-even to 40 digits
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ctx.rounding = ROUND_HALF_EVEN
+        want = +Decimal(PI_110)
+    assert str(PI_40) == str(want)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from parkstat.counting_engine import count
 from parkstat.exactalg import sqrt_decimal
 from parkstat.genfun_engine import jet_many, sum_genfun
-from parkstat.moment_lab import (convert_moments, expectation_area,
+from parkstat.moment_lab import (MomentTable, convert_moments, expectation_area,
                                  expectation_sum, factorial_moments,
                                  moment_table, p_prime_closed,
                                  scaled_histogram, stirling2, w_value)
@@ -27,11 +27,10 @@ def test_w_asymptotic_ratio_tightens():
     # W_n / ((sqrt(2*pi)/2) n^(3/2)) approaches 1; closer at 4000 than 400
     from decimal import localcontext
 
-    from parkstat.exactalg import _pi_decimal
+    from parkstat.exactalg import PI_40 as pi
 
     with localcontext() as ctx:
         ctx.prec = 40
-        pi = _pi_decimal(40)
 
         def dev(n):
             scale = (2 * pi).sqrt() / 2 * Decimal(n**3).sqrt()
@@ -130,17 +129,21 @@ def test_stirling_numbers():
 
 
 def test_convert_moments_example():
-    raw, central, scaled = convert_moments([Fraction(15, 16), Fraction(3, 4)])
+    raw, central = convert_moments([Fraction(15, 16), Fraction(3, 4)])
     assert raw == (Fraction(15, 16), Fraction(27, 16))
     assert central[0] == 0
     assert central[1] == Fraction(207, 256)
-    assert scaled is not None
-    assert scaled[1] == (Fraction(207, 256), Fraction(1))
+    table = MomentTable(n=3, a=1, order=2, factorial=(Fraction(15, 16), Fraction(3, 4)),
+                        raw=raw, central=central, variance=central[1])
+    assert table.scaled == ((0, Fraction(1, 2)), (Fraction(207, 256), 1))
 
 
 def test_convert_moments_zero_variance_flag():
-    raw, central, scaled = convert_moments([Fraction(0), Fraction(0)])
-    assert scaled is None
+    raw, central = convert_moments([Fraction(0), Fraction(0)])
+    table = MomentTable(n=1, a=1, order=2, factorial=(0, 0), raw=raw, central=central,
+                        variance=central[1])
+    assert table.variance == 0
+    assert table.scaled is None
 
 
 def test_convert_moments_central1_always_zero():
@@ -149,7 +152,7 @@ def test_convert_moments_central1_always_zero():
     for _ in range(50):
         fact = [Fraction(rng.randint(0, 30), rng.randint(1, 9))
                 for _ in range(4)]
-        _, central, _ = convert_moments(fact)
+        _, central = convert_moments(fact)
         assert central[0] == 0
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from parkstat.airy import AiryMoment, AsymptoticReport, KSummary, RatioRow
+from parkstat.airy import AsymptoticReport, KSummary, RatioRow
 from parkstat.cli import main
 from parkstat.conjecture_fit import FitResult, MomentAnsatz, verify_fit
 from parkstat.counting_engine import ClosedFormReport
@@ -20,11 +20,10 @@ HIST_ROW = HistogramRow(area=0, count=6, x="-1.2", density="0.3")
 
 # (record class, field values in declaration order)
 FROZEN = [
-    (AiryMoment, {"k": 1, "r": Fraction(1, 4), "h": 1}),
     (RatioRow, {"k": 1, "n": 36, "ratio": "0.9", "deviation": "0.1"}),
     (KSummary, {"k": 1, "decreasing": True, "final_deviation": "0.1",
                 "below_threshold": True}),
-    (AsymptoticReport, {"order": 1, "grid": (36, 144), "threshold": "0.2",
+    (AsymptoticReport, {"moments": (TwoPiPow(Fraction(1, 4), 1),), "grid": (36, 144),
                         "rows": (ROW,), "per_k": (SUMMARY,)}),
     (MomentAnsatz, {"k": 2, "symbols": ("n",), "deg_a": 3, "deg_b": 1}),
     (ClosedFormReport, {"ok": False, "points_checked": 3, "n_max": 2, "a_max": 3,
@@ -37,9 +36,9 @@ FROZEN = [
     (JetAtOne, {"n": 2, "a": 1, "order": 1, "values": (3, 1)}),
     (MomentTable, {"n": 2, "a": 1, "order": 1, "factorial": (Fraction(1, 3),),
                    "raw": (Fraction(1, 3),), "central": (Fraction(0),),
-                   "variance": Fraction(2, 9), "scaled": ((Fraction(0), Fraction(1, 2)),)}),
+                   "variance": Fraction(2, 9)}),
     (HistogramRow, {"area": 0, "count": 6, "x": "-1.2", "density": "0.3"}),
-    (ScaledHistogram, {"n": 2, "a": 1, "precision": 5, "mean": Fraction(1, 3),
+    (ScaledHistogram, {"n": 2, "a": 1, "mean": Fraction(1, 3),
                        "variance": Fraction(2, 9), "rows": (HIST_ROW,)}),
 ]
 MUTABLE = [
@@ -77,6 +76,14 @@ def test_frozen_record_equality_hash_and_immutability(cls, fields):
         setattr(rec, first, fields[first])
     with pytest.raises(AttributeError):
         rec.extra = 1
+
+
+def test_derived_members_are_properties_of_the_fields():
+    table = MomentTable(**dict(FROZEN)[MomentTable])
+    assert table.mean == Fraction(1, 3)
+    assert table.scaled == ((Fraction(0), Fraction(1, 2)),)
+    assert table._replace(variance=Fraction(0)).scaled is None
+    assert ScaledHistogram(**dict(FROZEN)[ScaledHistogram]).total == 6
 
 
 def test_fit_result_rebuilt_from_json_verifies(capsys):
