@@ -65,7 +65,7 @@ def test_asymptotic_check_deviation_halves_when_n_quadruples():
         assert Decimal("0.3") < ratio < Decimal("0.8"), (k, ratio)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(order=st.integers(1, 8),
        grid=st.lists(st.integers(1, 400), min_size=1, max_size=4, unique=True).map(sorted),
        n=st.integers(2, 30), a=st.integers(1, 5), precision=st.integers(1, 40))

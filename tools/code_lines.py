@@ -11,12 +11,13 @@ SRC_DIR defaults to the repository's src/.
 """
 
 import ast
+import io
 import sys
 import tokenize
 from pathlib import Path
 
 SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
-        tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+        tokenize.DEDENT, tokenize.ENDMARKER}
 
 
 def docstring_lines(tree: ast.Module) -> set[int]:
@@ -34,11 +35,10 @@ def docstring_lines(tree: ast.Module) -> set[int]:
 def code_lines(path: Path) -> int:
     source = path.read_text()
     docs = docstring_lines(ast.parse(source))
-    with path.open("rb") as f:
-        tokens = tokenize.tokenize(f.readline)
-        return len({line for tok in tokens if tok.type not in SKIP
-                    for line in range(tok.start[0], tok.end[0] + 1)
-                    if line not in docs})
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return len({line for tok in tokens if tok.type not in SKIP
+                for line in range(tok.start[0], tok.end[0] + 1)
+                if line not in docs})
 
 
 def main(argv: list[str]) -> None:
