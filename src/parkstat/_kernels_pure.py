@@ -116,8 +116,8 @@ def jet_step(prev: list, s: int, n_cap: int, kmax: int, binom: list) -> list:
     x^e contributes binomially: T_i <- T_i + C(n,k) * C(e,t) * T_child[i-t],
     which is the k-times-differentiated recurrence divided through by i!.
 
-    No engine calls this: the jet engine uses one Wright-Abel suffix-sum run
-    per state in genfun_engine.  It stays as the independent O(n^3 K^2) path
+    No engine calls this: the jet engine evaluates one Abel sum per state
+    in genfun_engine.  It stays as the independent O(n^3 K^2) path
     the tests check that engine against, and because the benchmark tracer
     wraps it.
     """

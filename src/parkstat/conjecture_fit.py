@@ -15,8 +15,11 @@ total degree at most 3k-1 (the re-check grid runs past the nodes, to
 shift 3k+1).
 Wright's recurrence, Lagrange inversion and the shift decomposition are
 theorems, so this is a derivation, not a fit.  It is still re-checked
-exactly against the jets and the closed-form E_1 on the sample grid and
-holdout that the output reports (_default_points).  The degree bounds are
+exactly, against the closed-form E_1, on the sample grid and holdout that
+the output reports (_default_points).  The re-check reads E_k from
+genfun_engine.suffix_sum at order k: the L-fold suffix sums of the Abel
+terms, a second evaluation of the table entries that the derivation reads
+through their moment sums and head terms.  The degree bounds are
 deg A = floor(3k/2), deg B = floor(3(k-1)/2) in n alone, and total degrees
 3k-1 and 3(k-1) in (n, a) (the shift direction carries degree up to 3k-2,
 e.g. the n*a^4 term in the second-moment A).  A derived pair outside the
@@ -31,7 +34,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exactalg import SymPoly, TwoPiPow, binomial, interpolate, rat_str
-from .genfun_engine import jet_many, shift_identity
+from .genfun_engine import shift_identity, suffix_sum
 from .moment_lab import expectation_area
 
 HOLDOUT_MARGIN = 5
@@ -142,13 +145,12 @@ def _default_points(ansatz: MomentAnsatz,
 
 def _moment_data(points: list[tuple[int, int]], k: int,
                  ) -> dict[tuple[int, int], tuple[Fraction, Fraction]]:
-    """(E_k, E_1) at every point: E_k from jets, E_1 from the closed form."""
-    jets = jet_many(points, k)
+    """(E_k, E_1) at every point: E_k is Q^(k)(1) from suffix_sum over the
+    count a(a+n)^(n-1), and E_1 comes from the closed form."""
     data = {}
     for n, a in points:
-        values = jets[(n, a)].values  # values[0] = Q(n,a)(1), the count
-        ek = Fraction(values[k], values[0])
-        data[(n, a)] = (ek, expectation_area(n, a))
+        e1 = expectation_area(n, a)  # ValueError unless n, a >= 1
+        data[(n, a)] = (Fraction(suffix_sum(n, a, k), a * (a + n) ** (n - 1)), e1)
     return data
 
 

@@ -1,11 +1,12 @@
 """Exact counts of a-parking functions: numeric, symbolic in a, and checked.
 
-count takes p(n, a) = Q(n,a)(1) from the jet engine at order 0, i.e. from
-the order-0 Lagrange-inversion sum of each state, g_0 - g_1 with
-g_l = n^{falling l} (a+n)^{n-l}, run by the same suffix-sum loop as every
-higher order (see genfun_engine).  Algebraically g_0 - g_1 is the closed
-form a(a+n)^(n-1); verify_closed_form checks the loop against that closed
-form evaluated on its own, a proof by evaluation once a_max >= n_max + 1.
+count takes p(n, a) = Q(n,a)(1) from the order-0 Lagrange-inversion sum of
+each state, g_0 - g_1 with g_l = n^{falling l} (a+n)^{n-l}, read by
+genfun_engine.suffix_sum(n, a, 0), the suffix-sum evaluation that checks
+the jet engine.  Algebraically g_0 - g_1 is the closed form a(a+n)^(n-1),
+which the jet engine itself uses; verify_closed_form (the closed-form
+suite) checks suffix_sum(n, a, 0) against that closed form evaluated on its
+own, a proof by evaluation once a_max >= n_max + 1.
 
 The tests' reference for the counts is the fundamental recurrence: with
 p(n, a) the number of a-parking functions of length n, moving its k = 0
@@ -26,17 +27,17 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .exactalg import SymPoly, binomial
-from .genfun_engine import jet_many
+from .genfun_engine import suffix_sum
 
 
 def count(n: int, a: int = 1) -> int:
-    """Number of a-parking functions of length n, from the jet engine.
+    """Number of a-parking functions of length n, as Q(n,a)(1).
 
-    The order-0 jet of Q(n,a) at x = 1 is the count; see jet_many.
+    Read by suffix_sum(n, a, 0), the order-0 Lagrange-inversion sum.
     """
     if n < 0 or a < 0:
         raise ValueError("need n >= 0 and a >= 0")
-    return jet_many([(n, a)], 0)[(n, a)].values[0]
+    return suffix_sum(n, a, 0)
 
 
 def count_symbolic(n: int) -> SymPoly:
@@ -112,12 +113,11 @@ def verify_closed_form(n_max: int, a_max: int) -> ClosedFormReport:
     if n_max < 1 or a_max < 1:
         raise ValueError("need n_max >= 1 and a_max >= 1")
     grid = [(n, a) for n in range(1, n_max + 1) for a in range(1, a_max + 1)]
-    counts = jet_many(grid, 0)
     claim = "proved" if a_max >= n_max + 1 else "checked"
     checked = 0
     for n, a in grid:
         closed = a * (a + n) ** (n - 1)
-        if counts[(n, a)].values[0] != closed:
+        if suffix_sum(n, a, 0) != closed:
             return ClosedFormReport(False, checked, n_max, a_max, claim,
                                     (n, a), "count")
         if _identity_rhs(n, a) != closed:

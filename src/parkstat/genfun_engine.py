@@ -38,15 +38,18 @@ Lambda_0 = aT, so E_a = e^{aT} G with G = exp(sum_{t>=1} q^t Lambda_t)
 (Janson, Knuth, Luczak & Pittel, "The birth of the giant component",
 Random Struct. Algorithms 1993, for the theta calculus).  One table per
 shift holds the G_t (_shift_table), and Lagrange inversion turns Taylor
-coefficient t of each Q(n,a) into one sum over O(n) terms: about
-(n+1)(3K-2) big-integer additions per state (_state_jet).  The order-0 term
-is a(a+n)^(n-1).  Jets are held in the Taylor basis T_t = Q^(t)(1)/t! and
-converted back to derivative values on harvest.  The exponential-formula
+coefficient t of each Q(n,a) into one sum over the n+1 Abel terms below.
+The order-0 term is a(a+n)^(n-1).  jet_many evaluates every sum through
+the moment identity below: it reads each table entry once per shift
+(_lagrange_parts), and then a state costs one abel_sum plus K evaluations
+of small integer polynomials in n.  suffix_sum evaluates one entry term by
+term, by L-fold suffix sums; it is the independent evaluation that count,
+verify_closed_form and the fits' re-check read.  The exponential-formula
 convolution that follows from log E_a by differentiating in z, and the
 triangle's jet kernel (kernels.jet_step), are the test-time cross-checks
 of this engine.
 
-The Abel terms g_l = n^{falling l} b^{n-l}, b = a+n, that _state_jet sums
+The Abel terms g_l = n^{falling l} b^{n-l}, b = a+n, that suffix_sum sums
 add up to the Abel-type sum (Riordan, Combinatorial Identities, 1968)
 
     S = sum_{l=0..n} n^{falling l} b^{n-l},
@@ -62,31 +65,37 @@ b^{hi-1-l}, starts from the leaf (n-l+1, n-l+1), and halves combine as
 S = 1 at n = 0.  The products are of balanced size, so CPython's Karatsuba
 makes the sum sub-quadratic in n.
 
-The same terms give the moment identities E_k = A_k + B_k E_1
-(shift_identity; conjecture_fit interpolates them in a).  Entry k of the
-shift table of a is (L, p, d), and Taylor coefficient k of Q(n,a) at
-x = 1 is sum_j p_j S_L(j)/d, where S_L(j) is the L-fold suffix sum at j of
-g_l.  The weight of g_l there, times (L-1)!, is the polynomial
+The same terms give jet_many's evaluation and the moment identities
+E_k = A_k + B_k E_1 (shift_identity; conjecture_fit interpolates them in
+a).  Entry k of the shift table of a is (L, p, d), and Taylor coefficient
+k of Q(n,a) at x = 1 is sum_j p_j S_L(j)/d, where S_L(j) is the L-fold
+suffix sum at j of g_l (suffix_sum).  The weight of g_l there, times
+(L-1)!, is the polynomial
 
     (l-j+L-1)^{falling L-1} = sum_r C(L-1, r) (L-1-j)^{falling L-1-r} l^{falling r}
 
 (Vandermonde), except at the head: the suffix sum starts at l = j, so
 e_l = sum_{j>l} p_j (l-j+L-1)^{falling L-1} comes off g_l.  The product
-vanishes for 0 < j-l < L, and p has at most L+2 entries
-(tests/test_genfun_engine.py::test_shift_table_entries_have_two_head_terms
-checks every entry up to t = 16 at shifts 1, 2, 3, 7, 40 and 300), so only
-l = 0 and l = 1 carry a head.  The moment sums G_r = sum_l l^{falling r}
-g_l obey, by (n-l) g_l = b g_{l+1},
+vanishes for 0 < j-l < L, so only l < len(p) - L carries a head.  The
+moment sums G_r = sum_l l^{falling r} g_l obey, by (n-l) g_l = b g_{l+1},
 
     G_0 = S,  G_1 = b^{n+1} - a S,  G_{r+1} = -(2r+a) G_r + r(n+1-r) G_{r-1},
 
 so G_r = alpha_r b^n + beta_r S with alpha_r, beta_r integer polynomials in
 n (_moment_sum).  Summing the weights gives the coefficient as
-(alpha b^n + beta S) / (d (L-1)!), with
-alpha = sum_r w_r alpha_r - e_0 - e_1 n/b.  moment_lab's E_1 gives
-S = b^{n-1} (2 E_1 - n(a-2) + b), and the count is a b^{n-1}, so
 
-    A_k = c (alpha b + beta (b - n(a-2))),  B_k = 2 c beta,  c = k!/(a d (L-1)!).
+    (alpha b^n + beta S - sum_l e_l g_l) / (d (L-1)!),
+
+with alpha = sum_r w_r alpha_r and beta = sum_r w_r beta_r (_lagrange_parts).
+jet_many subtracts every head term.  shift_identity reads e_0 and e_1 only,
+which needs len(p) <= L+2:
+tests/test_genfun_engine.py::test_shift_table_entries_have_two_head_terms
+checks every entry up to t = 16 at shifts 1, 2, 3, 7, 40 and 300, and the
+fits' re-check against suffix_sum fails on an identity that drops a head.
+moment_lab's E_1 gives S = b^{n-1} (2 E_1 - n(a-2) + b), and the count is
+a b^{n-1}, so with alpha' = alpha - e_0 - e_1 n/b
+
+    A_k = c (alpha' b + beta (b - n(a-2))),  B_k = 2 c beta,  c = k!/(a d (L-1)!).
 """
 
 from __future__ import annotations
@@ -326,61 +335,62 @@ def _shift_table(a: int, top: int) -> tuple[tuple[int, tuple[int, ...], int], ..
     return ((0, (1, -1), 1),) + tuple((L - 1, tuple(p), d) for L, p, d in g[1:])
 
 
-def _state_jet(n: int, a: int, table) -> list[int]:
-    """Taylor jet of Q(n,a) at x = 1 from the shift table of a.
+def suffix_sum(n: int, a: int, k: int) -> int:
+    """Q^(k)(n,a)(1) from entry k of the shift table of a, by suffix sums.
 
-    Lagrange inversion of T = z e^T, n! [z^n] e^{aT} G_t(T) =
-    n! [u^n] e^{(a+n)u} (1-u) G_t(u), turns entry t into sum_j p_j S_L(j)/d,
-    where S_L(j) is the L-fold suffix sum at j of
-    g_l = n^{falling l} (a+n)^{n-l}.  The sums are run from l = n down, so
-    the big integers live at once number O(K^2), not O(n).
+    Lagrange inversion of T = z e^T, n! [z^n] e^{aT} G_k(T) =
+    n! [u^n] e^{(a+n)u} (1-u) G_k(u), turns entry k = (L, p, d) into
+    sum_j p_j S_L(j)/d, where S_L(j) is the L-fold suffix sum at j of
+    g_l = n^{falling l} (a+n)^{n-l}.  The sums run from l = n down, so only
+    L+1 big integers live at once.  jet_many evaluates the same entry
+    through the moment identity instead; this is the independent
+    evaluation that count, verify_closed_form and the fits' re-check read.
     """
-    b = a + n
-    levels = max(L for L, _, _ in table)
-    low = min(n + 1, max(len(p) for _, p, _ in table))
-    sums = [0] * (levels + 1)  # sums[m]: m-fold suffix sum of g at l
-    at = [None] * low          # at[j]: sums at l = j
-    g = math.factorial(n)
+    L, p, d = _shift_table(a, k)[k]
+    sums = [0] * (L + 1)  # sums[m]: m-fold suffix sum of g at l
+    total, g = 0, math.factorial(n)
     for l in range(n, -1, -1):
         sums[0] = g
-        for m in range(1, levels + 1):
+        for m in range(1, L + 1):
             sums[m] += sums[m - 1]
-        if l < low:
-            at[l] = sums[:]
+        if l < len(p):
+            total += p[l] * sums[L]
         if l:
-            g = g * b // (n - l + 1)
-    return [sum(c * at[j][L] for j, c in enumerate(p[:n + 1])) // d
-            for L, p, d in table]
+            g = g * (a + n) // (n - l + 1)
+    return total // d * math.factorial(k)
 
 
 def jet_many(targets: Iterable[tuple[int, int]], order: int) -> dict[tuple[int, int], JetAtOne]:
-    """K-jets at x = 1 for every requested state.
+    """K-jets at x = 1 for every requested state, from the moment identity.
 
     Each shift builds one table (_shift_table) up to the highest order its
-    states can use, since orders above deg Q(n,a) = n(2a+n-3)/2 are zeros.
-    Each state is then one suffix-sum run (_state_jet).  Per the
-    Taylor-basis note in the module docstring, entries are rescaled by t! to
-    derivative values.
+    states can use, since orders above deg Q(n,a) = n(2a+n-3)/2 are zeros,
+    and reads each entry once (_lagrange_parts).  Each state is then
+    Q(1) = a b^{n-1}, one Abel sum S and, per order t,
+    t! (alpha(n) b^n + beta(n) S - sum_l e_l g_l)/den.
     """
     if order < 0:
         raise ValueError("need order >= 0")
     targets = sorted(set(targets), reverse=True)
     if any(n < 0 or a < 0 for n, a in targets):
         raise ValueError("states need n >= 0 and a >= 0")
-    fact = [math.factorial(t) for t in range(order + 1)]
-    tables: dict[int, tuple] = {}
+    parts: dict[int, list] = {}
     jets = {}
     for n, a in targets:  # the longest length at a shift uses the most orders
-        if n and a:
-            top = min(order, n * (2 * a + n - 3) // 2)
-            if a not in tables:
-                tables[a] = _shift_table(a, top)
-            taylor = _state_jet(n, a, tables[a][:top + 1])
-        else:
-            taylor = [int(n == 0)]
-        taylor += [0] * (order + 1 - len(taylor))
-        jets[(n, a)] = JetAtOne(n=n, a=a, order=order,
-                                values=tuple(t * f for t, f in zip(taylor, fact)))
+        b = a + n
+        top = min(order, n * (2 * a + n - 3) // 2) if a else 0
+        if top and a not in parts:
+            parts[a] = [_lagrange_parts(entry, a) for entry in _shift_table(a, top)[1:]]
+        values = [a * b ** (n - 1) if n else 1]
+        bn, s = (b ** n, abel_sum(n, b)) if top else (0, 0)
+        for t, (alpha, beta, heads, den) in enumerate(parts.get(a, [])[:top], 1):
+            acc = (sum(c * n ** i for i, c in enumerate(alpha)) * bn
+                   + sum(c * n ** i for i, c in enumerate(beta)) * s
+                   - sum(e * falling_factorial(n, l) * bn // b ** l  # e_l g_l
+                         for l, e in enumerate(heads[:n + 1])))
+            values.append(acc // den * math.factorial(t))
+        values += [0] * (order + 1 - len(values))
+        jets[(n, a)] = JetAtOne(n=n, a=a, order=order, values=tuple(values))
     return jets
 
 
@@ -418,9 +428,14 @@ def _moment_sum(weights: list[int], x: list[int], y: list[int], a: int) -> list[
     return total
 
 
-def shift_identity(k: int, a: int) -> tuple[list[Fraction], list[Fraction]]:
-    """A_k and B_k at shift a, as coefficient lists in n (module docstring)."""
-    L, p, d = _shift_table(a, k)[k]
+def _lagrange_parts(entry, a: int) -> tuple[list[int], list[int], list[int], int]:
+    """(alpha, beta, heads, den) of one shift-table entry (module docstring).
+
+    At length n its Taylor coefficient is (alpha(n) b^n + beta(n) S -
+    sum_l heads[l] g_l) / den, with alpha and beta integer coefficient
+    lists in n and heads[l] = e_l for every l < len(p) - L.
+    """
+    L, p, d = entry
     m = L - 1
     weights = [0] * L  # w_r of l^{falling r}
     for j, c in enumerate(p):
@@ -430,15 +445,21 @@ def shift_identity(k: int, a: int) -> tuple[list[Fraction], list[Fraction]]:
     weights = [binomial(m, r) * w for r, w in enumerate(weights)]
     alpha = _moment_sum(weights, [0], [a, 1], a)  # G_0 = S, G_1 = b^{n+1} - a S
     beta = _moment_sum(weights, [1], [-a], a)
-    e0, e1 = (sum(c * falling_factorial(l - j + m, m) for j, c in enumerate(p) if j > l)
-              for l in (0, 1))
+    heads = [sum(c * falling_factorial(l - j + m, m) for j, c in enumerate(p) if j > l)
+             for l in range(len(p) - L)]
+    return alpha, beta, heads, d * falling_factorial(m, m)
+
+
+def shift_identity(k: int, a: int) -> tuple[list[Fraction], list[Fraction]]:
+    """A_k and B_k at shift a, as coefficient lists in n (module docstring)."""
+    alpha, beta, heads, den = _lagrange_parts(_shift_table(a, k)[k], a)
+    e0, e1 = (heads + [0, 0])[:2]
     alpha[0] -= e0
     num = [0] * (len(alpha) + 1)  # alpha b + beta (b - n(a-2)) - e1 n
     for i, (x, y) in enumerate(zip(alpha, beta)):
         num[i] += a * (x + y)
         num[i + 1] += x + (3 - a) * y
     num[1] -= e1
-    den = a * d * falling_factorial(m, m)
     k_fact = falling_factorial(k, k)
-    return ([Fraction(k_fact * c, den) for c in num],
-            [Fraction(2 * k_fact * c, den) for c in beta])
+    return ([Fraction(k_fact * c, a * den) for c in num],
+            [Fraction(2 * k_fact * c, a * den) for c in beta])

@@ -18,7 +18,7 @@ from parkstat.errors import BudgetExceeded
 from parkstat.exactalg import PolyX
 from parkstat.genfun_engine import (_sweep, abel_sum, area_genfun,
                                     area_genfun_many, jet_at_one, jet_many,
-                                    sum_genfun)
+                                    suffix_sum, sum_genfun)
 from parkstat.moment_lab import expectation_area, moment_table
 from parkstat.parking_core import brute_histogram, max_area
 from reference import convolution_jets, reference_jets
@@ -231,6 +231,17 @@ def shift_reference(a):
 def test_jets_equal_convolution_reference_property(n, a, order):
     expected = shift_reference(a)[(n, a)][:order + 1]
     assert jet_at_one(n, a, order).values == expected
+    # the suffix sums, which count and the fits' re-check read
+    assert suffix_sum(n, a, order) == expected[order]
+
+
+def test_jets_equal_suffix_sums_at_long_lengths():
+    # the identity's head terms and Abel sum against the term-by-term
+    # suffix sums, far past the convolution reference's reach
+    got = jet_many([(1600, 1), (2000, 7)], 8)
+    for (n, a), jet in got.items():
+        for order, value in enumerate(jet.values):
+            assert value == suffix_sum(n, a, order), (n, a, order)
 
 
 def test_jets_equal_convolution_reference_sparse_and_long():
@@ -328,6 +339,18 @@ def test_production_paths_avoid_the_triangle(monkeypatch, capsys):
     assert cli_main(["count", "--n", "50"]) == 0
     assert capsys.readouterr().out == f"{51 ** 49}\n"
     assert cli_main(["verify", "--suite", "closed-form"]) == 0
+
+
+def test_jets_and_moments_never_run_the_suffix_sums(monkeypatch):
+    # jets come from the moment identity alone; suffix_sum is the checks'
+    # independent evaluation
+    def refuse(*args, **kwargs):
+        raise AssertionError("suffix_sum is the checks' path, not the jets'")
+
+    monkeypatch.setattr(genfun_engine, "suffix_sum", refuse)
+    assert jet_many([(400, 2)], 8)[(400, 2)].values[0] == 2 * 402 ** 399
+    assert moment_table(100, 1, 8).factorial[0] > 0
+    assert len(asymptotic_check(8, [100, 400]).rows) == 16
 
 
 def test_genfun_budget_guard():
