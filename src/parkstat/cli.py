@@ -22,14 +22,11 @@ import json
 import sys
 from typing import Callable
 
-from . import airy as airy_mod
-from .conjecture_fit import fit_moment
-from .counting_engine import count, count_symbolic, verify_closed_form
+# the layers are lazy modules (see the package docstring): a command
+# compiles only the ones whose functions it calls
+from . import (airy, conjecture_fit, counting_engine, exactalg, genfun_engine,
+               moment_lab, parking_core)
 from .errors import DEFAULT_BUDGET, BudgetExceeded
-from .exactalg import rat_str
-from .genfun_engine import area_genfun, area_genfun_many
-from .moment_lab import moment_table, scaled_histogram
-from .parking_core import brute_histogram, oracle_pairs
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -70,17 +67,17 @@ def _emit(args: argparse.Namespace, obj: Callable[[], dict],
 
 def cmd_count(args: argparse.Namespace) -> int:
     if args.symbolic:
-        result = str(count_symbolic(args.n))
+        result = str(counting_engine.count_symbolic(args.n))
         header, row = "n,polynomial", {"n": args.n, "symbolic": result}
     else:
-        result = str(count(args.n, args.a))
+        result = str(counting_engine.count(args.n, args.a))
         header, row = "n,a,count", {"n": args.n, "a": args.a, "count": result}
     return _emit(args, lambda: row, lambda: f"{header}\n{','.join(map(str, row.values()))}",
                  lambda: result)
 
 
 def cmd_genfun(args: argparse.Namespace) -> int:
-    gf = area_genfun(args.n, args.a, budget=args.budget)
+    gf = genfun_engine.area_genfun(args.n, args.a, budget=args.budget)
 
     def text() -> str:
         lines = [f"Q({args.n},{args.a}): {len(gf.poly.coeffs)} area values, "
@@ -92,27 +89,27 @@ def cmd_genfun(args: argparse.Namespace) -> int:
 
 
 def cmd_moments(args: argparse.Namespace) -> int:
-    table = moment_table(args.n, args.a, args.k)
+    table = moment_lab.moment_table(args.n, args.a, args.k)
 
     def csv() -> str:
         lines = ["j,factorial,raw,central,scaled_central,scaled_var_power"]
         for j, row in enumerate(zip(table.factorial, table.raw, table.central), 1):
-            fields = [str(j), *map(rat_str, row)]
-            fields += (map(rat_str, table.scaled[j - 1]) if table.scaled is not None
+            fields = [str(j), *map(exactalg.rat_str, row)]
+            fields += (map(exactalg.rat_str, table.scaled[j - 1]) if table.scaled is not None
                        else ["", ""])
             lines.append(",".join(fields))
         return "\n".join(lines)
 
     def text() -> str:
         lines = [f"moments of the area statistic at n={args.n}, a={args.a}",
-                 f"  mean     = {rat_str(table.mean)}",
-                 f"  variance = {rat_str(table.variance)}"]
-        lines += [f"  E_{j} (factorial) = {rat_str(e)}"
+                 f"  mean     = {exactalg.rat_str(table.mean)}",
+                 f"  variance = {exactalg.rat_str(table.variance)}"]
+        lines += [f"  E_{j} (factorial) = {exactalg.rat_str(e)}"
                   for j, e in enumerate(table.factorial, 1)]
         if table.scaled is None:
             lines.append("  scaled moments undefined (variance = 0)")
         else:
-            lines += [f"  scaled_{j} = {rat_str(c)} * variance^(-{rat_str(p)})"
+            lines += [f"  scaled_{j} = {exactalg.rat_str(c)} * variance^(-{exactalg.rat_str(p)})"
                       for j, (c, p) in enumerate(table.scaled, 1)]
         return "\n".join(lines)
 
@@ -120,7 +117,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    fit = fit_moment(args.k, general_a=args.general_a, n_max=args.n_max)
+    fit = conjecture_fit.fit_moment(args.k, general_a=args.general_a, n_max=args.n_max)
     verified = fit.status == "verified"
 
     def csv() -> str:
@@ -128,7 +125,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         for name, poly in (("A", fit.a_poly), ("B", fit.b_poly)):
             for exps, c in poly.ordered_terms():
                 powers = " ".join(f"{s}^{e}" for s, e in zip(poly.symbols, exps))
-                lines.append(f"{name},{powers},{rat_str(c)}")
+                lines.append(f"{name},{powers},{exactalg.rat_str(c)}")
         return "\n".join(lines)
 
     def text() -> str:
@@ -144,7 +141,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_airy(args: argparse.Namespace) -> int:
     grid = list(args.grid) or [50, 100, 200]
-    report = airy_mod.asymptotic_check(args.k, grid)
+    report = airy.asymptotic_check(args.k, grid)
     bad = [s.k for s in report.per_k if not (s.decreasing and s.below_threshold)]
 
     def text() -> str:
@@ -160,16 +157,17 @@ def cmd_airy(args: argparse.Namespace) -> int:
 
 def cmd_hist(args: argparse.Namespace) -> int:
     if args.scaled:
-        hist = scaled_histogram(args.n, args.a, precision=args.precision,
-                                budget=args.budget)
+        hist = moment_lab.scaled_histogram(args.n, args.a, precision=args.precision,
+                                           budget=args.budget)
     else:
-        hist = area_genfun(args.n, args.a, budget=args.budget)
+        hist = genfun_engine.area_genfun(args.n, args.a, budget=args.budget)
 
     def text() -> str:
         if args.scaled:
             return (f"scaled area histogram at n={args.n}, a={args.a}: "
                     f"{len(hist.rows)} rows, total {hist.total}\n"
-                    f"  mean {rat_str(hist.mean)}, variance {rat_str(hist.variance)}")
+                    f"  mean {exactalg.rat_str(hist.mean)}, "
+                    f"variance {exactalg.rat_str(hist.variance)}")
         return (f"area histogram at n={args.n}, a={args.a}: "
                 f"{len([c for c in hist.poly.coeffs if c])} rows, "
                 f"total {hist.total}")
@@ -180,15 +178,15 @@ def cmd_hist(args: argparse.Namespace) -> int:
 def _verify_closed_form_suite(args: argparse.Namespace) -> tuple[str, bool, str]:
     n_max = 10 if args.n is None else args.n
     a_max = n_max + 1 if args.a is None else args.a
-    report = verify_closed_form(n_max, a_max)
+    report = counting_engine.verify_closed_form(n_max, a_max)
     return "closed-form", report.ok, report.describe()
 
 
 def _verify_oracle_suite(args: argparse.Namespace) -> tuple[str, bool, str]:
-    pairs = oracle_pairs(args.budget)
-    genfuns = area_genfun_many(pairs)
+    pairs = parking_core.oracle_pairs(args.budget)
+    genfuns = genfun_engine.area_genfun_many(pairs)
     bad = [(n, a) for n, a in pairs
-           if brute_histogram(n, a, budget=args.budget) != genfuns[(n, a)]]
+           if parking_core.brute_histogram(n, a, budget=args.budget) != genfuns[(n, a)]]
     detail = (f"mismatch at {bad}" if bad else f"{len(pairs)} states, brute "
               f"force equals generating function coefficientwise")
     return "oracle-equivalence", not bad, detail

@@ -17,9 +17,10 @@ term to the left gives
 
 No production path sweeps it; its anti-diagonal kernel (kernels.count_step)
 is the test-time cross-check of the counts, like kernels.jet_step for the
-jets.  count_symbolic keeps the shift symbolic in the exponential-formula law
-log E_a(z) = sum_m [am]_x Q(m-1,1) z^m/m! at x = 1, where it becomes an
-integer recurrence on coefficient lists in a.
+jets.  count_symbolic expands the closed form in the shift a by the binomial
+theorem; its test-time reference is the exponential-formula law
+log E_a(z) = sum_m [am]_x Q(m-1,1) z^m/m! at x = 1, an integer recurrence on
+coefficient lists in a (tests/reference.py).
 """
 
 from __future__ import annotations
@@ -41,36 +42,20 @@ def count(n: int, a: int = 1) -> int:
 
 
 def count_symbolic(n: int) -> SymPoly:
-    """p_n(a) as an exact polynomial in the shift a, by the exponential formula.
+    """p_n(a) as an exact polynomial in the shift a, from the closed form.
 
-    With E_a(z) = sum_m p_m(a) z^m/m!, the Kung-Yan shift decomposition at
-    x = 1 gives E_a(z) = E_1(z)^a, and the exponential formula (see
-    genfun_engine) gives
-
-        log E_a(z) = a sum_{m>=1} m p_{m-1}(1) z^m/m!.
-
-    Differentiating E_a = exp(log E_a) and comparing the coefficients of
-    z^(m-1)/(m-1)! gives
-
-        p_m(a) = a sum_{i<m} C(m-1,i) (i+1) p_i(1) p_{m-1-i}(a),
-
-    where p_i(1) is the coefficient sum of the p_i already computed.  Each
-    p_m is an integer coefficient list in a, and multiplying by a shifts it
-    one place: n(n+1)(n+2)/6 multiply-adds in all.
+    a(a+n)^(n-1) = sum_{j<n} C(n-1,j) n^(n-1-j) a^(j+1) by the binomial
+    theorem, and p_0(a) = 1: n coefficients, each one product of running
+    binomials and powers of n.
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    polys = [[1]]  # polys[m][j] is the coefficient of a^j in p_m(a)
-    at_one = [1]   # p_m(1)
-    for m in range(1, n + 1):
-        p = [0] * (m + 1)
-        for i in range(m):
-            w = binomial(m - 1, i) * (i + 1) * at_one[i]
-            for j, c in enumerate(polys[m - 1 - i]):
-                p[j + 1] += w * c
-        polys.append(p)
-        at_one.append(sum(p))
-    return SymPoly.from_univariate(polys[n], "a")
+    coeffs = [0] * (n + 1) if n else [1]  # coeffs[j+1] = C(n-1,j) n^(n-1-j)
+    c, power = 1, 1
+    for j in range(n - 1, -1, -1):
+        coeffs[j + 1] = c * power
+        c, power = c * j // (n - j), power * n  # C(n-1,j-1), n^(n-j)
+    return SymPoly.from_univariate(coeffs, "a")
 
 
 class ClosedFormReport(NamedTuple):

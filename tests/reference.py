@@ -5,9 +5,9 @@ sum_{j=1..n} n!/((n-j)! (a+n)^(j-1)) and sum_{j=1..n} C(n,j) j! a (a+n)^(n-j)
 term by term, one big product per term, where moment_lab takes both from
 one binary-split Abel sum.
 
-closed_form_symbolic is count_symbolic's reference: a(a+n)^(n-1) expanded
-by the binomial theorem, where count_symbolic runs the exponential-formula
-recurrence in the shift a.
+symbolic_counts is count_symbolic's reference: the exponential-formula
+recurrence in the shift a, where count_symbolic expands a(a+n)^(n-1) by the
+binomial theorem.
 
 dense_fit is the moment identities' reference: A_k and B_k by
 undetermined coefficients, an exact solve on the derivation's own re-check
@@ -82,13 +82,36 @@ def p_prime_sum(n: int, a: int) -> int:
     return val.numerator
 
 
-def closed_form_symbolic(n: int) -> SymPoly:
-    """a(a+n)^(n-1) expanded as a polynomial in a (n >= 1)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    terms = {(j + 1,): Fraction(binomial(n - 1, j) * n ** (n - 1 - j))
-             for j in range(n)}
-    return SymPoly(("a",), terms)
+def symbolic_counts(n_max: int) -> list[SymPoly]:
+    """p_m(a) for m = 0..n_max as exact polynomials in the shift a, by the
+    exponential formula.
+
+    With E_a(z) = sum_m p_m(a) z^m/m!, the Kung-Yan shift decomposition at
+    x = 1 gives E_a(z) = E_1(z)^a, and the exponential formula (see
+    genfun_engine) gives
+
+        log E_a(z) = a sum_{m>=1} m p_{m-1}(1) z^m/m!.
+
+    Differentiating E_a = exp(log E_a) and comparing the coefficients of
+    z^(m-1)/(m-1)! gives
+
+        p_m(a) = a sum_{i<m} C(m-1,i) (i+1) p_i(1) p_{m-1-i}(a),
+
+    where p_i(1) is the coefficient sum of the p_i already computed.  Each
+    p_m is an integer coefficient list in a, and multiplying by a shifts it
+    one place: n(n+1)(n+2)/6 multiply-adds in all.
+    """
+    polys = [[1]]  # polys[m][j] is the coefficient of a^j in p_m(a)
+    at_one = [1]   # p_m(1)
+    for m in range(1, n_max + 1):
+        p = [0] * (m + 1)
+        for i in range(m):
+            w = binomial(m - 1, i) * (i + 1) * at_one[i]
+            for j, c in enumerate(polys[m - 1 - i]):
+                p[j + 1] += w * c
+        polys.append(p)
+        at_one.append(sum(p))
+    return [SymPoly.from_univariate(p, "a") for p in polys]
 
 
 def jet_mul(p: list[int], q: list[int], width: int) -> list[int]:

@@ -581,20 +581,30 @@ TRACED_LAYERS = ("airy", "conjecture_fit", "counting_engine", "exactalg",
 
 def test_cli_cold_start_imports_no_dataclasses_and_every_layer():
     # every CLI call is a fresh interpreter, so what `import parkstat.cli`
-    # pulls in is paid per call: dataclasses (and the inspect it imports)
-    # added 15-25 ms to a 60-85 ms import.  The layers themselves stay eager,
-    # because a per-layer tracer looks them up in sys.modules right after
-    # the import.
-    def loaded(code):
-        proc = subprocess.run([sys.executable, "-c", code + "; print('\\n'.join(sys.modules))"],
+    # compiles and runs is paid per call: dataclasses (and the inspect it
+    # imports) added 15-25 ms to a 60-85 ms import.  Every layer is in
+    # sys.modules from the import on, because a per-layer tracer looks them
+    # up there right after it, but is a lazy module that runs only when a
+    # command first reads one of its names.
+    def modules(code):
+        # module name -> whether it has run (a lazy module's type is a
+        # subclass of types.ModuleType until then)
+        probe = (f"{code}; import json, types; print(json.dumps("
+                 "{k: type(m) is types.ModuleType for k, m in sys.modules.items()}))")
+        proc = subprocess.run([sys.executable, "-c", probe],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        return set(proc.stdout.split())
+        return json.loads(proc.stdout.splitlines()[-1])
 
-    bare = loaded("import sys")
-    cli = loaded("import sys, parkstat.cli")
-    assert not {"dataclasses", "inspect"} & (cli - bare)
-    assert {f"parkstat.{layer}" for layer in TRACED_LAYERS} <= cli
+    layers = [f"parkstat.{layer}" for layer in TRACED_LAYERS]
+    bare = modules("import sys")
+    cli = modules("import sys, parkstat.cli; parkstat.cli.build_parser()")
+    assert not {"dataclasses", "inspect", "fractions", "decimal"} & (cli.keys() - bare.keys())
+    assert [name for name in layers if cli.get(name) is not False] == []
+    count = modules("import sys, parkstat.cli; parkstat.cli.main(['count', '--n', '5'])")
+    assert count["parkstat.counting_engine"]
+    unused = ("airy", "conjecture_fit", "moment_lab", "parking_core")
+    assert [layer for layer in unused if count[f"parkstat.{layer}"]] == []
 
 
 def test_traced_fit_matches_the_untraced_cli(tmp_path):

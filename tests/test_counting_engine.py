@@ -10,7 +10,7 @@ from parkstat.counting_engine import (ClosedFormReport, count, count_symbolic,
 from parkstat.exactalg import SymPoly
 from parkstat.genfun_engine import _sweep, jet_many
 from parkstat.parking_core import brute_histogram
-from reference import closed_form_symbolic
+from reference import symbolic_counts
 
 
 @pytest.mark.parametrize("n,a,expected", [
@@ -74,8 +74,10 @@ def test_count_symbolic_small():
 
 
 def test_count_symbolic_matches_closed_form():
-    for n in [*range(1, 61), 100]:
-        assert count_symbolic(n) == closed_form_symbolic(n), n
+    # count_symbolic is the closed form; the reference is the recurrence
+    reference = symbolic_counts(100)
+    for n in [*range(61), 100]:
+        assert count_symbolic(n) == reference[n], n
 
 
 @given(n=st.integers(0, 40), a=st.integers(0, 40))
