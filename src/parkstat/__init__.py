@@ -37,9 +37,11 @@ _EXPORTS = {
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_HOME)
 
-# LazyLoader is not thread-safe in Python 3.11: two threads that read a new
-# module's first attribute at once can both run it.  Every parkstat command
-# is single-threaded, so a module is always first read by one thread.
+# LazyLoader is not thread-safe in Python 3.11: the first attribute read
+# turns the lazy module into a plain one before it runs the source, so a
+# second thread reading the module meanwhile sees it partly run and can get
+# AttributeError.  Every parkstat command is single-threaded, so a module is
+# always first read by one thread.
 for _name in ("_kernels_pure", *_EXPORTS):
     _spec = importlib.util.find_spec(f"{__name__}.{_name}")
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
@@ -47,7 +49,7 @@ for _name in ("_kernels_pure", *_EXPORTS):
     sys.modules[_spec.name] = _module
     _spec.loader.exec_module(_module)
     globals()[_name] = _module
-del _name, _spec, _module
+del _name, _spec, _module, importlib, sys
 
 
 def __getattr__(name: str):

@@ -428,16 +428,12 @@ def _moment_sum(weights: list[int], x: list[int], y: list[int], a: int) -> list[
     return total
 
 
-@functools.lru_cache(maxsize=None)
-def _lagrange_parts(entry, a: int) -> tuple[tuple[int, ...], tuple[int, ...],
-                                            tuple[int, ...], int]:
+def _lagrange_parts(entry, a: int) -> tuple[list[int], list[int], list[int], int]:
     """(alpha, beta, heads, den) of one shift-table entry (module docstring).
 
     At length n its Taylor coefficient is (alpha(n) b^n + beta(n) S -
     sum_l heads[l] g_l) / den, with alpha and beta integer coefficient
-    lists in n and heads[l] = e_l for every l < len(p) - L.  Cached and
-    immutable, like the tables, so a caller that asks one state at a time
-    reads each entry once per process.
+    lists in n and heads[l] = e_l for every l < len(p) - L.
     """
     L, p, d = entry
     m = L - 1
@@ -449,16 +445,16 @@ def _lagrange_parts(entry, a: int) -> tuple[tuple[int, ...], tuple[int, ...],
     weights = [binomial(m, r) * w for r, w in enumerate(weights)]
     alpha = _moment_sum(weights, [0], [a, 1], a)  # G_0 = S, G_1 = b^{n+1} - a S
     beta = _moment_sum(weights, [1], [-a], a)
-    heads = tuple(sum(c * falling_factorial(l - j + m, m) for j, c in enumerate(p) if j > l)
-                  for l in range(len(p) - L))
-    return tuple(alpha), tuple(beta), heads, d * falling_factorial(m, m)
+    heads = [sum(c * falling_factorial(l - j + m, m) for j, c in enumerate(p) if j > l)
+             for l in range(len(p) - L)]
+    return alpha, beta, heads, d * falling_factorial(m, m)
 
 
 def shift_identity(k: int, a: int) -> tuple[list[Fraction], list[Fraction]]:
     """A_k and B_k at shift a, as coefficient lists in n (module docstring)."""
     alpha, beta, heads, den = _lagrange_parts(_shift_table(a, k)[k], a)
-    e0, e1 = (heads + (0, 0))[:2]
-    alpha = [alpha[0] - e0, *alpha[1:]]
+    e0, e1 = (heads + [0, 0])[:2]
+    alpha[0] -= e0
     num = [0] * (len(alpha) + 1)  # alpha b + beta (b - n(a-2)) - e1 n
     for i, (x, y) in enumerate(zip(alpha, beta)):
         num[i] += a * (x + y)
