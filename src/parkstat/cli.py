@@ -18,7 +18,6 @@ cannot be written exits 2, also where the report would have exited 4.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Callable
 
@@ -44,6 +43,7 @@ def _emit(args: argparse.Namespace, obj: Callable[[], dict],
     verification failure, written after the full report.
     """
     if args.fmt == "json":
+        import json  # only here, so text and csv calls never load it
         out = json.dumps(obj())
     else:
         out = csv() if args.fmt == "csv" else text()

@@ -582,15 +582,17 @@ TRACED_LAYERS = ("airy", "conjecture_fit", "counting_engine", "exactalg",
 def test_cli_cold_start_imports_no_dataclasses_and_every_layer():
     # every CLI call is a fresh interpreter, so what `import parkstat.cli`
     # compiles and runs is paid per call: dataclasses (and the inspect it
-    # imports) added 15-25 ms to a 60-85 ms import.  Every layer is in
+    # imports) added 15-25 ms to a 60-85 ms import, json about 3 ms to
+    # every call that prints text or csv.  Every layer is in
     # sys.modules from the import on, because a per-layer tracer looks them
     # up there right after it, but is a lazy module that runs only when a
     # command first reads one of its names.
     def modules(code):
         # module name -> whether it has run (a lazy module's type is a
-        # subclass of types.ModuleType until then)
-        probe = (f"{code}; import json, types; print(json.dumps("
-                 "{k: type(m) is types.ModuleType for k, m in sys.modules.items()}))")
+        # subclass of types.ModuleType until then), read before the probe
+        # imports json itself
+        probe = (f"{code}; import types; loaded = {{k: type(m) is types.ModuleType"
+                 " for k, m in sys.modules.items()}; import json; print(json.dumps(loaded))")
         proc = subprocess.run([sys.executable, "-c", probe],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -599,7 +601,8 @@ def test_cli_cold_start_imports_no_dataclasses_and_every_layer():
     layers = [f"parkstat.{layer}" for layer in TRACED_LAYERS]
     bare = modules("import sys")
     cli = modules("import sys, parkstat.cli; parkstat.cli.build_parser()")
-    assert not {"dataclasses", "inspect", "fractions", "decimal"} & (cli.keys() - bare.keys())
+    assert not ({"dataclasses", "inspect", "fractions", "decimal", "json"}
+                & (cli.keys() - bare.keys()))
     assert [name for name in layers if cli.get(name) is not False] == []
     count = modules("import sys, parkstat.cli; parkstat.cli.main(['count', '--n', '5'])")
     assert count["parkstat.counting_engine"]
