@@ -18,8 +18,12 @@ drift fails loudly.
 asymptotic_check then renders, for each k, the exact ratio
 E_k(n,1) / (m_k n^(3k/2)) on a grid of n values and reports whether the
 deviations |ratio - 1| shrink along the grid and end below THRESHOLD.
-Each ratio is one decimal division of integers taken straight from the
-jets and the moment, with no reduced Fraction of the jets' big values.
+Each ratio is one correctly rounded quotient of integers taken straight
+from the jets and the moment, with no reduced Fraction of the jets' big
+values: the integers divide once into a quotient a digit or two longer
+than the 40 digits the context keeps, and only that short quotient becomes
+a Decimal.  So rendering stays cheap at n = 10^5, where the jets hold
+500,000-digit integers.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactalg import PI_40, TwoPiPow, rat_str, to_sig_str
+from .exactalg import PI_40, TwoPiPow, quotient_decimal, rat_str, to_sig_str
 from .genfun_engine import jet_many
 
 RATIO_DIGITS = 20
@@ -145,10 +149,12 @@ def _ratio_decimal(k: int, n: int, moment: TwoPiPow,
 
     With E_k = values[k]/values[0] (values[0] = Q(n,1)(1), the count) and
     e_k = r (2*pi)^(h/2), the rational part is one correctly rounded
-    division of exact integers; odd k then divide by sqrt(2*pi*n).
+    quotient of exact integers (exactalg.quotient_decimal: one short
+    integer division, no jet-sized Decimal); odd k then divide by
+    sqrt(2*pi*n).
     """
-    ratio = (Decimal(values[k] * moment.r.denominator)
-             / Decimal(values[0] * moment.r.numerator * n ** (3 * k // 2)))
+    ratio = quotient_decimal(values[k] * moment.r.denominator,
+                             values[0] * moment.r.numerator * n ** (3 * k // 2))
     if moment.h:
         ratio /= (2 * PI_40 * n).sqrt()
     return ratio

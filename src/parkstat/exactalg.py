@@ -29,16 +29,18 @@ the classes hold, read, evaluate, reverse and print them.  Neither adds or
 multiplies polynomials.  `interpolate` turns values at x = 1..m into
 coefficients.
 
-Decimals only appear at the output boundary (sqrt_decimal, PI_40 for the
-odd Airy ratios, to_sig_str), with an explicit number of significant
-digits; no record renders its own.  All values are immutable after
+Decimals only appear at the output boundary (quotient_decimal,
+sqrt_decimal, PI_40 for the odd Airy ratios, to_sig_str), with an explicit
+number of significant digits; no record renders its own.  The quotient and
+the root are computed in integers and rounded once, so big operands are
+never converted to Decimal.  All values are immutable after
 construction and safe to share between threads.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -543,21 +545,58 @@ PI_40 = Decimal("3.141592653589793238462643383279502884197")
 
 
 def rat_str(x: RatLike) -> str:
-    """Rational as "num/den", omitting the denominator when it is 1."""
+    """Rational as "num/den", omitting the denominator when it is 1.
+
+    The integers go through Decimal, whose str is not capped by Python's
+    int -> str digit limit (sys.set_int_max_str_digits).
+    """
     x = Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return str(Decimal(x.numerator))
+    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+
+
+def _scale(num: int, den: int, digits: int) -> int:
+    """An s with num 10^s / den >= 10^digits when num > 0 (den > 0), from
+    the bit lengths alone: num/den > 2^-e, and ceil(e c) >= e log10(2) when
+    c rounds log10(2) away from zero."""
+    e = den.bit_length() - num.bit_length() + 1
+    return digits - (-e * (30103 if e > 0 else 30102) // 100000)
+
+
+def quotient_decimal(num: int, den: int) -> Decimal:
+    """num/den for num >= 0 and den > 0, correctly rounded at the context's
+    precision and rounding, as Decimal(num) / Decimal(den) is.
+
+    One short division: q, r = divmod(num 10^s, den) with q of at least
+    prec+1 digits, whatever the operands' sizes, so the division costs
+    about the operands' length and only q becomes a Decimal.  A sticky last
+    digit, 1 when r != 0, and one rounding to prec digits follow.  Every
+    point where that rounding changes (a prec-digit value, or a midpoint
+    between two) is a multiple of 10^-s, so the sticky digit moves an
+    inexact quotient off such a point and never across one: the result is
+    the rounding of the exact num/den.
+    """
+    s = _scale(num, den, getcontext().prec)
+    q, r = divmod(num * 10 ** max(s, 0), den * 10 ** max(-s, 0))
+    return Decimal(10 * q + (r != 0)).scaleb(-s - 1)
 
 
 def sqrt_decimal(x: RatLike, prec: int) -> Decimal:
-    """Correctly-rounded decimal square root of a nonnegative rational."""
+    """Square root of a nonnegative rational, correctly rounded half-even
+    to prec digits.
+
+    As in quotient_decimal: the integer root m of y = x 10^2t gets at least
+    prec+1 digits, and a sticky last digit records whether m^2 != y.
+    """
     x = Fraction(x)
     if x < 0:
         raise ValueError("square root of a negative value")
-    with localcontext() as ctx:
-        ctx.prec = prec
-        return (Decimal(x.numerator) / Decimal(x.denominator)).sqrt()
+    t = -(-_scale(x.numerator, x.denominator, 2 * prec) // 2)
+    y = x * Fraction(100) ** t
+    m = math.isqrt(y.numerator // y.denominator)
+    return Decimal(10 * m + (m * m != y)).scaleb(
+        -t - 1, Context(prec=prec, rounding=ROUND_HALF_EVEN))
 
 
 def to_sig_str(d: Decimal, sig: int) -> str:

@@ -18,11 +18,16 @@ taken from the jet engine; raw moments follow via Stirling numbers of the
 second kind, central moments by binomial expansion about the mean, and
 scaled moments are kept in exact split form central_j * variance^(-j/2)
 (the standard deviation is irrational, so decimal rendering happens only at
-the output boundary, at an explicit precision).
+the output boundary, at an explicit precision).  convert_moments runs in
+integers over one common denominator D, which divides a(a+n)^(n-1): raw
+moment j is R_j/D and central moment j is C_j/D^j, each reduced by one gcd
+at the end rather than by a Fraction operation per term.  The module keeps
+no mutable state of its own.
 """
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
@@ -89,23 +94,13 @@ def factorial_moments(n: int, a: int = 1, order: int = 2) -> list[Fraction]:
     return [Fraction(v, total) for v in derivs]
 
 
-_stirling2_rows: list[list[int]] = [[1]]
-
-
 def stirling2(j: int, k: int) -> int:
-    """Stirling number of the second kind, by the triangular recurrence."""
+    """Stirling number of the second kind, by the explicit sum
+    S(j,k) = sum_{i=0..k} (-1)^i C(k,i) (k-i)^j / k!."""
     if j < 0 or k < 0:
         raise ValueError("need j, k >= 0")
-    if k > j:
-        return 0
-    while len(_stirling2_rows) <= j:
-        m = len(_stirling2_rows)
-        prev = _stirling2_rows[-1]
-        row = [0] * (m + 1)
-        for t in range(1, m + 1):
-            row[t] = prev[t - 1] + (t * prev[t] if t < m else 0)
-        _stirling2_rows.append(row)
-    return _stirling2_rows[j][k]
+    return sum((-1) ** i * math.comb(k, i) * (k - i) ** j
+               for i in range(k + 1)) // math.factorial(k)
 
 
 class MomentTable(NamedTuple):
@@ -157,24 +152,24 @@ class MomentTable(NamedTuple):
 
 def convert_moments(factorial: list[Fraction]) -> tuple[
         tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Factorial -> (raw, central).
+    """Factorial -> (raw, central), in integers over one denominator.
 
-    raw_j = sum_k S(j,k) factorial_k; central by binomial expansion about
-    the mean.
+    With D the lcm of the denominators and factorial_k = v_k/D, the raw
+    moments are R_j/D with R_j = sum_k S(j,k) v_k, and the central moments,
+    the binomial expansion about the mean R_1/D, are C_j/D^j with
+    C_j = sum_i C(j,i) R_i (-R_1)^(j-i) D^(i-1), where R_0 D^-1 = 1.
+    Each moment is then one Fraction, so one gcd.
     """
-    order = len(factorial)
     factorial = [Fraction(x) for x in factorial]
-    raw = [sum((stirling2(j, k) * factorial[k - 1] for k in range(1, j + 1)),
-               Fraction(0))
-           for j in range(1, order + 1)]
-    mean = raw[0] if raw else Fraction(0)
-    full_raw = [Fraction(1)] + raw  # raw_0 = 1
-    central = []
-    for j in range(1, order + 1):
-        c = sum(binomial(j, i) * full_raw[i] * (-mean) ** (j - i)
-                for i in range(0, j + 1))
-        central.append(c)
-    return tuple(raw), tuple(central)
+    den = math.lcm(*(x.denominator for x in factorial))
+    v = [x.numerator * (den // x.denominator) for x in factorial]
+    raw = [sum(stirling2(j, k) * v[k - 1] for k in range(1, j + 1))
+           for j in range(1, len(v) + 1)]
+    scaled = [1] + [r * den ** i for i, r in enumerate(raw)]  # R_i D^(i-1)
+    central = [Fraction(sum(binomial(j, i) * scaled[i] * (-raw[0]) ** (j - i)
+                            for i in range(j + 1)), den ** j)
+               for j in range(1, len(v) + 1)]
+    return tuple(Fraction(r, den) for r in raw), tuple(central)
 
 
 def moment_table(n: int, a: int = 1, order: int = 2) -> MomentTable:

@@ -30,6 +30,12 @@ Taylor basis T_i = Q^(i)(1)/i!, where products are truncated Leibniz
 convolutions and the bracket [e]_x is the jet C(e, t+1).  The cost is
 O(n^2 K^2) big-by-big products per shift.
 
+stirling2_rows and fraction_convert_moments are the moment conversion's
+reference: the Stirling numbers by the triangular recurrence
+S(j,k) = S(j-1,k-1) + k S(j-1,k), where moment_lab uses the explicit sum,
+and the raw and central moments by Fraction arithmetic term by term, where
+moment_lab works in integers over one common denominator.
+
 fraction_ratio_rows and fraction_hist_rows are the decimal rendering's
 reference: each Airy ratio and each histogram x goes through a reduced
 Fraction before its one decimal division, where the engines divide the
@@ -209,6 +215,34 @@ def dense_fit(k: int, general_a: bool) -> tuple[SymPoly, SymPoly]:
     b_poly = SymPoly(ansatz.symbols, dict(zip(basis_b, sol.values[na:])))
     assert _first_miss(a_poly, b_poly, holdout, data) is None
     return a_poly, b_poly
+
+
+def stirling2_rows(j_max: int) -> list[list[int]]:
+    """Rows 0..j_max of S(j,k), k = 0..j, by the triangular recurrence."""
+    rows = [[1]]
+    for j in range(1, j_max + 1):
+        prev = rows[-1] + [0]
+        rows.append([0] + [prev[k - 1] + k * prev[k] for k in range(1, j + 1)])
+    return rows
+
+
+def fraction_convert_moments(factorial) -> tuple[tuple[Fraction, ...],
+                                                 tuple[Fraction, ...]]:
+    """(raw, central) from factorial moments, one Fraction operation per
+    term: raw_j = sum_k S(j,k) factorial_k, and central_j is the binomial
+    expansion of the raw moments about the mean."""
+    factorial = [Fraction(x) for x in factorial]
+    order = len(factorial)
+    stirling = stirling2_rows(order)
+    raw = [sum((stirling[j][k] * factorial[k - 1] for k in range(1, j + 1)),
+               Fraction(0))
+           for j in range(1, order + 1)]
+    mean = raw[0] if raw else Fraction(0)
+    full_raw = [Fraction(1)] + raw  # raw_0 = 1
+    central = [sum(binomial(j, i) * full_raw[i] * (-mean) ** (j - i)
+                   for i in range(j + 1))
+               for j in range(1, order + 1)]
+    return tuple(raw), tuple(central)
 
 
 def fraction_ratio_rows(order: int, grid) -> list[tuple[int, int, str, str]]:

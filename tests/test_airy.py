@@ -56,6 +56,14 @@ def test_asymptotic_check_ratio_value_at_tiny_n():
     assert row.deviation.startswith("0.9333333333")
 
 
+def test_asymptotic_check_ratio_is_zero_at_n_1():
+    # Q(1,1) = 1 has no area, so every E_k(1,1) with k >= 1 is 0: the ratio's
+    # numerator is zero
+    report = asymptotic_check(3, [1, 4])
+    rows = [r for r in report.rows if r.n == 1]
+    assert [(r.ratio, r.deviation) for r in rows] == [("0", "1.0000000000000000000")] * 3
+
+
 def test_asymptotic_check_deviation_halves_when_n_quadruples():
     # the n^(-1/2) error scale: dev(4n)/dev(n) should sit in (0.3, 0.8)
     report = asymptotic_check(2, [50, 200])

@@ -1,6 +1,7 @@
 """Tests for the exact arithmetic toolkit."""
 
 import random
+import sys
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
@@ -12,8 +13,8 @@ from parkstat import exactalg
 from parkstat.exactalg import (_PRIMES, PI_40, Inconsistent, LinSys, PolyX, SymPoly,
                                TwoPiPow, Underdetermined, UniqueSolution, _gauss_jordan,
                                _solve_modular, binomial, binomial_rows,
-                               interpolate, rat_str, solve_exact, to_sig_str,
-                               sqrt_decimal)
+                               interpolate, quotient_decimal, rat_str,
+                               solve_exact, sqrt_decimal, to_sig_str)
 from reference import PI_110
 
 
@@ -342,6 +343,92 @@ def test_rat_str_roundtrip():
     assert rat_str(Fraction(-1, 2)) == "-1/2"
     for x in (Fraction(3, 7), Fraction(5), Fraction(-1, 2)):
         assert Fraction(rat_str(x)) == x
+
+
+def test_rat_str_is_not_capped_by_the_int_str_limit():
+    # rat_str renders through Decimal, so it needs no process-wide
+    # sys.set_int_max_str_digits(0); moment_table(400, 1, 8) has central
+    # moments of more than 4300 digits
+    from parkstat.moment_lab import moment_table
+    limit = sys.get_int_max_str_digits()
+    big = 7 ** 10000
+    try:
+        sys.set_int_max_str_digits(0)
+        want = (str(big), f"-{big}/3")
+        sys.set_int_max_str_digits(4300)
+        assert (rat_str(big), rat_str(Fraction(-big, 3))) == want
+        obj = moment_table(400, 1, 8).to_json_obj()
+        assert max(len(c) for c in obj["central"]) > 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("num,den,want", [(25, 100, "0.2"), (35, 100, "0.4"),
+                                          (250001, 10**6, "0.3")])
+def test_quotient_decimal_ties_at_one_digit(num, den, want):
+    # 0.25 and 0.35 are ties, rounded half-even; 0.250001 is just past the
+    # tie 0.25, which only the sticky digit records
+    with localcontext() as ctx:
+        ctx.prec = 1
+        assert str(quotient_decimal(num, den)) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(num_bits=st.integers(0, 3000), den_bits=st.integers(1, 3000),
+       prec=st.integers(1, 60), kind=st.sampled_from(["any", "exact", "tie", "past"]),
+       data=st.data())
+def test_quotient_decimal_matches_decimal_division(num_bits, den_bits, prec, kind, data):
+    # bit-length gaps of thousands in either direction, a zero numerator
+    # (num_bits = 0), exact quotients, and quotients at or just past a tie
+    # between two prec-digit neighbours
+    num = data.draw(st.integers(0, 2**num_bits - 1))
+    den = data.draw(st.integers(1, 2**den_bits - 1))
+    if kind == "exact":
+        num *= den
+    elif kind in ("tie", "past"):
+        m = data.draw(st.integers(10 ** (prec - 1), 10**prec - 1))
+        num = (10 * m + 5) * den + (kind == "past")
+        den *= 10 ** data.draw(st.integers(0, 60))
+    with localcontext() as ctx:
+        ctx.prec = prec
+        got = quotient_decimal(num, den)
+        want = Decimal(num) / Decimal(den)
+    assert got == want
+    assert to_sig_str(got, prec) == to_sig_str(want, prec)
+
+
+def test_sqrt_decimal_is_correctly_rounded():
+    # rounding the quotient and then the root missed here by one in the
+    # last digit: the root is 0.538783...
+    assert sqrt_decimal(Fraction(77487, 266933), 5) == Decimal("0.53878")
+    assert sqrt_decimal(Fraction(0), 5) == 0
+    assert sqrt_decimal(Fraction(1, 4), 1) == Decimal("0.5")
+    assert sqrt_decimal(Fraction(25, 16), 2) == Decimal("1.2")  # tie 1.25
+    # just past the tie: 1.250001 rounds up, which only the exactness test sees
+    assert sqrt_decimal(Fraction(1250001, 10**6) ** 2, 2) == Decimal("1.3")
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.one_of(st.fractions(min_value=0, max_denominator=10**6),
+                   st.fractions(min_value=0, max_denominator=10**6).map(lambda f: f * f),
+                   st.builds(Fraction, st.integers(1, 2**600), st.integers(1, 2**600))),
+       prec=st.integers(1, 40))
+def test_sqrt_decimal_brackets_the_root(x, prec):
+    # r is correctly rounded iff (r - ulp_below/2)^2 <= x <= (r + ulp/2)^2,
+    # and at equality r's last digit is even (half-even)
+    r = sqrt_decimal(x, prec)
+    if x == 0:
+        assert r == 0
+        return
+    digits = r.as_tuple().digits
+    assert len(digits) <= prec
+    exact = Fraction(r)
+    ulp = Fraction(10) ** (r.adjusted() - prec + 1)
+    ulp_below = ulp / 10 if exact == Fraction(10) ** r.adjusted() else ulp
+    low, high = (exact - ulp_below / 2) ** 2, (exact + ulp / 2) ** 2
+    assert low <= x <= high
+    if x in (low, high):
+        assert (digits + (0,) * prec)[prec - 1] % 2 == 0
 
 
 def test_decimal_rendering():

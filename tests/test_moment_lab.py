@@ -14,7 +14,8 @@ from parkstat.moment_lab import (MomentTable, convert_moments, expectation_area,
                                  expectation_sum, factorial_moments,
                                  moment_table, p_prime_closed,
                                  scaled_histogram, stirling2, w_value)
-from reference import falling_sum, p_prime_sum
+from reference import (falling_sum, fraction_convert_moments, p_prime_sum,
+                       stirling2_rows)
 
 
 def test_w_examples():
@@ -126,6 +127,43 @@ def test_stirling_numbers():
              (4, 5): 0, (3, 0): 0}
     for (j, k), v in known.items():
         assert stirling2(j, k) == v
+
+
+def test_stirling_explicit_sum_matches_recurrence():
+    rows = stirling2_rows(40)
+    for j in range(41):
+        for k in range(41):
+            assert stirling2(j, k) == (rows[j][k] if k <= j else 0), (j, k)
+
+
+@st.composite
+def shared_denominator(draw):
+    den = draw(st.integers(1, 10**30))
+    return [Fraction(v, den) for v in
+            draw(st.lists(st.integers(-10**40, 10**40), max_size=10))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(fact=st.one_of(st.lists(st.fractions(max_denominator=10**12), max_size=10),
+                      shared_denominator()))
+def test_convert_moments_matches_fraction_reference(fact):
+    # one common denominator and one gcd per moment give the same reduced
+    # values as Fraction arithmetic term by term, for shared and for
+    # unrelated denominators
+    assert convert_moments(fact) == fraction_convert_moments(fact)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 300), a=st.integers(1, 20), order=st.integers(1, 10))
+def test_convert_moments_matches_fraction_reference_on_jets(n, a, order):
+    fact = factorial_moments(n, a, order)
+    assert convert_moments(fact) == fraction_convert_moments(fact)
+
+
+@pytest.mark.parametrize("n,a", [(2000, 1), (1000, 7)])
+def test_convert_moments_matches_fraction_reference_at_large_n(n, a):
+    fact = factorial_moments(n, a, 8)
+    assert convert_moments(fact) == fraction_convert_moments(fact)
 
 
 def test_convert_moments_example():
