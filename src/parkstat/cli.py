@@ -70,7 +70,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         result = str(counting_engine.count_symbolic(args.n))
         header, row = "n,polynomial", {"n": args.n, "symbolic": result}
     else:
-        result = str(counting_engine.count(args.n, args.a))
+        result = exactalg.int_str(counting_engine.count(args.n, args.a))
         header, row = "n,a,count", {"n": args.n, "a": args.a, "count": result}
     return _emit(args, lambda: row, lambda: f"{header}\n{','.join(map(str, row.values()))}",
                  lambda: result)
@@ -81,8 +81,9 @@ def cmd_genfun(args: argparse.Namespace) -> int:
 
     def text() -> str:
         lines = [f"Q({args.n},{args.a}): {len(gf.poly.coeffs)} area values, "
-                 f"total {gf.total}"]
-        lines += [f"  area {m}: {c}" for m, c in enumerate(gf.poly.coeffs) if c]
+                 f"total {exactalg.int_str(gf.total)}"]
+        lines += [f"  area {m}: {exactalg.int_str(c)}"
+                  for m, c in enumerate(gf.poly.coeffs) if c]
         return "\n".join(lines)
 
     return _emit(args, gf.to_json_obj, gf.to_csv, text)
@@ -165,12 +166,12 @@ def cmd_hist(args: argparse.Namespace) -> int:
     def text() -> str:
         if args.scaled:
             return (f"scaled area histogram at n={args.n}, a={args.a}: "
-                    f"{len(hist.rows)} rows, total {hist.total}\n"
+                    f"{len(hist.rows)} rows, total {exactalg.int_str(hist.total)}\n"
                     f"  mean {exactalg.rat_str(hist.mean)}, "
                     f"variance {exactalg.rat_str(hist.variance)}")
         return (f"area histogram at n={args.n}, a={args.a}: "
                 f"{len([c for c in hist.poly.coeffs if c])} rows, "
-                f"total {hist.total}")
+                f"total {exactalg.int_str(hist.total)}")
 
     return _emit(args, hist.to_json_obj, hist.to_csv, text)
 
@@ -282,11 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # exact results have no size limit, so neither has their decimal form
-    # (Python 3.11, and 3.10.7 on, cap int <-> str conversion at 4300
-    # digits by default)
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)

@@ -269,11 +269,11 @@ class SymPoly:
                 for s, e in zip(self.symbols, exps) if e
             )
             if not mono:
-                body = str(abs(c))
+                body = rat_str(abs(c))
             elif abs(c) == 1:
                 body = mono
             else:
-                body = f"{abs(c)}{sep}{mono}"
+                body = f"{rat_str(abs(c))}{sep}{mono}"
             sign = "-" if c < 0 else "+"
             parts.append((sign, body))
         head_sign, head = parts[0]
@@ -544,16 +544,22 @@ PI_40 = Decimal("3.141592653589793238462643383279502884197")
 # ---------------------------------------------------------------------------
 
 
-def rat_str(x: RatLike) -> str:
-    """Rational as "num/den", omitting the denominator when it is 1.
+def int_str(x: int) -> str:
+    """Decimal digits of an integer, however long.
 
-    The integers go through Decimal, whose str is not capped by Python's
-    int -> str digit limit (sys.set_int_max_str_digits).
+    Every renderer prints its integers through here.  Decimal's str gives
+    the same digits as int's but is not capped by Python's int -> str
+    digit limit (sys.set_int_max_str_digits), so no caller has to lift it.
     """
+    return str(Decimal(x))
+
+
+def rat_str(x: RatLike) -> str:
+    """Rational as "num/den", omitting the denominator when it is 1."""
     x = Fraction(x)
     if x.denominator == 1:
-        return str(Decimal(x.numerator))
-    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+        return int_str(x.numerator)
+    return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
 
 
 def _scale(num: int, den: int, digits: int) -> int:
@@ -566,7 +572,10 @@ def _scale(num: int, den: int, digits: int) -> int:
 
 def quotient_decimal(num: int, den: int) -> Decimal:
     """num/den for num >= 0 and den > 0, correctly rounded at the context's
-    precision and rounding, as Decimal(num) / Decimal(den) is.
+    precision and rounding: equal in value to Decimal(num) / Decimal(den),
+    but not in exponent.  The result keeps all prec digits of the scaled
+    quotient (at prec 40, 1/4 is 0.2500...0, and 0/d is 0E-43), so callers
+    render it through to_sig_str, not str or format.
 
     One short division: q, r = divmod(num 10^s, den) with q of at least
     prec+1 digits, whatever the operands' sizes, so the division costs
@@ -587,7 +596,9 @@ def sqrt_decimal(x: RatLike, prec: int) -> Decimal:
     to prec digits.
 
     As in quotient_decimal: the integer root m of y = x 10^2t gets at least
-    prec+1 digits, and a sticky last digit records whether m^2 != y.
+    prec+1 digits, and a sticky last digit records whether m^2 != y.  Also
+    as there, the result is exact in value, not in exponent (sqrt 0 is
+    0E-(prec+2)), so callers render it through to_sig_str.
     """
     x = Fraction(x)
     if x < 0:

@@ -107,7 +107,7 @@ from typing import Iterable, NamedTuple
 
 from . import backend
 from .errors import DEFAULT_BUDGET, BudgetExceeded
-from .exactalg import PolyX, binomial, binomial_rows, falling_factorial
+from .exactalg import PolyX, binomial, binomial_rows, falling_factorial, int_str
 
 
 class AreaGenFun(NamedTuple):
@@ -127,15 +127,15 @@ class AreaGenFun(NamedTuple):
 
     def to_csv(self) -> str:
         lines = ["area,count"]
-        lines += [f"{m},{c}" for m, c in enumerate(self.poly.coeffs) if c]
+        lines += [f"{m},{int_str(c)}" for m, c in enumerate(self.poly.coeffs) if c]
         return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> dict:
         return {
             "n": self.n,
             "a": self.a,
-            "total": str(self.total),
-            "counts": {str(m): str(c)
+            "total": int_str(self.total),
+            "counts": {str(m): int_str(c)
                        for m, c in enumerate(self.poly.coeffs) if c},
         }
 

@@ -32,7 +32,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactalg import PolyX, binomial, rat_str, sqrt_decimal, to_sig_str
+from .exactalg import PolyX, binomial, int_str, rat_str, sqrt_decimal, to_sig_str
 from .errors import DEFAULT_BUDGET
 from .genfun_engine import abel_sum, area_genfun, jet_at_one
 
@@ -204,18 +204,18 @@ class ScaledHistogram(NamedTuple):
 
     def to_csv(self) -> str:
         lines = ["area,count,x,density"]
-        lines += [f"{r.area},{r.count},{r.x},{r.density}" for r in self.rows]
+        lines += [f"{r.area},{int_str(r.count)},{r.x},{r.density}" for r in self.rows]
         return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> dict:
         return {
             "n": self.n,
             "a": self.a,
-            "total": str(self.total),
+            "total": int_str(self.total),
             "mean": rat_str(self.mean),
             "variance": rat_str(self.variance),
             "rows": [
-                {"area": r.area, "count": str(r.count), "x": r.x,
+                {"area": r.area, "count": int_str(r.count), "x": r.x,
                  "density": r.density}
                 for r in self.rows
             ],

@@ -47,6 +47,20 @@ def test_count_json(capsys):
     assert json.loads(out) == {"n": 4, "a": 2, "count": str(2 * 6**3)}
 
 
+def test_count_prints_past_the_int_str_limit_and_leaves_it_set(capsys):
+    # count(2000, 1) = 2001^1999 has 6600 digits; the CLI renders it
+    # through int_str and does not change the process-wide limit
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        want = f"{2001 ** 1999}\n"
+        sys.set_int_max_str_digits(4300)
+        assert run_cli(capsys, "count", "--n", "2000") == (0, want, "")
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_count_csv(capsys):
     code, out, _ = run_cli(capsys, "count", "--n", "3", "--format", "csv")
     assert out == "n,a,count\n3,1,16\n"

@@ -13,7 +13,7 @@ from parkstat import exactalg
 from parkstat.exactalg import (_PRIMES, PI_40, Inconsistent, LinSys, PolyX, SymPoly,
                                TwoPiPow, Underdetermined, UniqueSolution, _gauss_jordan,
                                _solve_modular, binomial, binomial_rows,
-                               interpolate, quotient_decimal, rat_str,
+                               int_str, interpolate, quotient_decimal, rat_str,
                                solve_exact, sqrt_decimal, to_sig_str)
 from reference import PI_110
 
@@ -345,18 +345,31 @@ def test_rat_str_roundtrip():
         assert Fraction(rat_str(x)) == x
 
 
-def test_rat_str_is_not_capped_by_the_int_str_limit():
-    # rat_str renders through Decimal, so it needs no process-wide
-    # sys.set_int_max_str_digits(0); moment_table(400, 1, 8) has central
-    # moments of more than 4300 digits
-    from parkstat.moment_lab import moment_table
+def test_renderers_are_not_capped_by_the_int_str_limit():
+    # every renderer prints its integers through int_str (Decimal), so none
+    # needs a process-wide sys.set_int_max_str_digits(0);
+    # moment_table(400, 1, 8) has central moments of more than 4300 digits
+    from parkstat.genfun_engine import AreaGenFun
+    from parkstat.moment_lab import HistogramRow, ScaledHistogram, moment_table
     limit = sys.get_int_max_str_digits()
     big = 7 ** 10000
+    gf = AreaGenFun(2, 1, PolyX([big, 1]))
+    hist = ScaledHistogram(2, 1, Fraction(1, 2), Fraction(1, 4),
+                           (HistogramRow(0, big, "-1", "0.5"),))
+    poly = SymPoly(("n", "a"), {(0, 0): big, (1, 0): Fraction(-big, 3)})
     try:
         sys.set_int_max_str_digits(0)
-        want = (str(big), f"-{big}/3")
+        digits, total = str(big), str(big + 1)
         sys.set_int_max_str_digits(4300)
-        assert (rat_str(big), rat_str(Fraction(-big, 3))) == want
+        assert int_str(big) == digits
+        assert (rat_str(big), rat_str(Fraction(-big, 3))) == (digits, f"-{digits}/3")
+        assert poly.format(star=True) == f"-{digits}/3*n+{digits}"
+        assert gf.to_csv() == f"area,count\n0,{digits}\n1,1\n"
+        obj = gf.to_json_obj()
+        assert (obj["total"], obj["counts"]) == (total, {"0": digits, "1": "1"})
+        assert hist.to_csv() == f"area,count,x,density\n0,{digits},-1,0.5\n"
+        obj = hist.to_json_obj()
+        assert (obj["total"], obj["rows"][0]["count"]) == (digits, digits)
         obj = moment_table(400, 1, 8).to_json_obj()
         assert max(len(c) for c in obj["central"]) > 4300
     finally:
