@@ -67,6 +67,8 @@ MUTANTS = [
      "return digits - (-e", "return digits - 1 - (-e"),
     ("sqrt exactness test dropped", EXACT,
      "(m * m != y)", "False"),
+    ("int_str capped by the int -> str limit", EXACT,
+     "return str(Decimal(x))", "return str(x)"),
 ]
 
 DESELECT = ["tests/test_acceptance.py::test_criterion_9_histogram_scale",
