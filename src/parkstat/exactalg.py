@@ -10,13 +10,9 @@ result.  The building blocks are:
                                      so the zero polynomial has none)
   * SymPoly                       -- sparse polynomial with Fraction
                                      coefficients over a declared symbol set
-  * LinSys / solve_exact          -- exact rational linear solve: a
-                                     multi-modular fast path (elimination
-                                     mod 61-bit primes, CRT, rational
-                                     reconstruction) whose answer stands
-                                     only after exact re-substitution into
-                                     every row, and Fraction Gauss-Jordan
-                                     elimination as the fallback
+  * LinSys / solve_exact          -- exact rational linear solve by
+                                     fraction-free elimination over the
+                                     integers, back-substituted in Fractions
 
 No production path calls solve_exact: the moment identities are derived,
 not fitted.  It serves the tests' undetermined-coefficients reference for
@@ -33,8 +29,9 @@ Decimals only appear at the output boundary (quotient_decimal,
 sqrt_decimal, PI_40 for the odd Airy ratios, to_sig_str), with an explicit
 number of significant digits; no record renders its own.  The quotient and
 the root are computed in integers and rounded once, so big operands are
-never converted to Decimal.  All values are immutable after
-construction and safe to share between threads.
+never converted to Decimal.  PolyX, SymPoly, TwoPiPow and the solve
+results are immutable after construction and safe to share between
+threads; a LinSys is a mutable list of rows, filled by add_row.
 """
 
 from __future__ import annotations
@@ -318,198 +315,64 @@ class Underdetermined(NamedTuple):
 
 
 class Inconsistent(NamedTuple):
-    row_index: int  # index of a reduced row of the form 0 = nonzero
+    # the row 0 = nonzero, as an index into the reduced system: the pivot
+    # rows in column order, then the leftover rows in input order
+    row_index: int
 
 
 SolveResult = Union[UniqueSolution, Underdetermined, Inconsistent]
 
 
 def solve_exact(sys: LinSys) -> SolveResult:
-    """Solve a rational linear system exactly.
+    """Solve a rational linear system exactly, by fraction-free elimination.
 
-    A multi-modular fast path (`_solve_modular`) answers systems of full
-    column rank; its answer counts only after exact re-substitution into
-    every row, and full column rank modulo a prime proves the solution
-    unique.  Every other system -- and any system the fast path cannot
-    settle -- goes to the Fraction Gauss-Jordan elimination
-    (`_gauss_jordan`), the only source of `Underdetermined` and
-    `Inconsistent`.  Either way the result is the one `_gauss_jordan`
-    would return.
+    Each row is scaled to integers once, by the lcm of its denominators.
+    Columns are eliminated in order: the pivot is the first remaining row
+    with a nonzero entry in the column, and every remaining row with an
+    entry f there becomes pc*row - f*pivot (pc the pivot's entry), divided
+    by the gcd of its entries so the integers stay small: fraction-free
+    elimination as in Bareiss (Math. Comp. 22, 1968), with the row's gcd
+    as the divisor in place of the previous pivot.  The rows left over
+    keep their input order.  A leftover row 0 = nonzero is reported before
+    any pivotless column; a system with neither is back-substituted in
+    Fractions.
     """
     if not sys.rows:
         raise ValueError("system has no rows")
-    sol = _solve_modular(sys)
-    if sol is not None:
-        return sol
-    return _gauss_jordan(sys)
-
-
-# the eight largest primes below 2^61
-_PRIMES = tuple(2**61 - d for d in (1, 31, 45, 229, 259, 283, 339, 391))
-
-
-def _solve_modular(sys: LinSys) -> UniqueSolution | None:
-    """The unique solution of a full-column-rank system, or None.
-
-    For each prime p in _PRIMES: reduce the system mod p (skipping p when it
-    divides a denominator), eliminate forward with the first nonzero pivot
-    and back-substitute.  The residues are combined by CRT and rationally
-    reconstructed; a candidate is accepted only if it satisfies every row
-    exactly.  Full rank mod p implies full rank over Q, so an accepted
-    candidate is the unique solution.  A rank drop or inconsistency mod p,
-    or no accepted candidate after the last prime, gives None.
-    """
-    w = sys.width
-    if len(sys.rows) < w:
-        return None
-    dens = {x.denominator for coeffs, rhs in sys.rows for x in (*coeffs, rhs)}
-    modulus = 1
-    residues = [0] * w
-    for p in _PRIMES:
-        if any(d % p == 0 for d in dens):
-            continue
-        xs = _solve_mod_p(sys, p, {d: pow(d, -1, p) for d in dens})
-        if xs is None:
-            return None
-        # CRT: lift residues mod `modulus` and mod p to mod modulus*p
-        m_inv = pow(modulus, -1, p)
-        residues = [r + modulus * ((x - r) * m_inv % p)
-                    for r, x in zip(residues, xs)]
-        modulus *= p
-        values = _reconstruct_all(residues, modulus)
-        if values is not None and _satisfies(sys, values):
-            return UniqueSolution(values=tuple(values))
-    return None
-
-
-def _solve_mod_p(sys: LinSys, p: int, inverses: dict[int, int]) -> list[int] | None:
-    """Solution residues mod p; None on a rank drop or inconsistency mod p.
-
-    `inverses` maps every denominator in the system to its inverse mod p.
-    """
-    rows = [[x.numerator * inverses[x.denominator] % p for x in (*coeffs, rhs)]
-            for coeffs, rhs in sys.rows]
-    # forward elimination; each pass drops the leading column, so the rows
-    # below the pivots always start at the current column
-    upper = []
-    for _ in range(sys.width):
+    rows = []
+    for coeffs, rhs in sys.rows:
+        den = math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
+        rows.append([x.numerator * (den // x.denominator) for x in (*coeffs, rhs)])
+    # each pass drops the leading column, so the remaining rows always start
+    # at the current column, and a pivot row holds its own column, the
+    # columns after it and the rhs
+    pivots = []
+    free = []
+    for col in range(sys.width):
         piv = next((i for i, row in enumerate(rows) if row[0]), None)
         if piv is None:
-            return None
-        prow = rows.pop(piv)
-        inv = pow(prow[0], -1, p)
-        prow = [v * inv % p for v in prow[1:]]
-        upper.append(prow)
-        rows = [[(x - f * y) % p for x, y in zip(row[1:], prow)]
-                if (f := row[0]) else row[1:] for row in rows]
-    if any(row[0] for row in rows):
-        return None
-    # back-substitution; upper[i] holds columns i+1..w-1 and the rhs
-    xs: list[int] = []
-    for prow in reversed(upper):
-        xs.append((prow[-1] - sum(c * x for c, x in zip(prow, reversed(xs)))) % p)
-    xs.reverse()
-    return xs
-
-
-def _reconstruct_all(residues: list[int], modulus: int) -> list[Fraction] | None:
-    """Rational reconstruction of every residue, or None if one fails."""
-    bound = math.isqrt((modulus - 1) // 2)
-    out = []
-    for u in residues:
-        x = _reconstruct(u, modulus, bound)
-        if x is None:
-            return None
-        out.append(x)
-    return out
-
-
-def _reconstruct(u: int, modulus: int, bound: int) -> Fraction | None:
-    """The r/t with |r|, t <= bound and r = u*t mod `modulus`, if any.
-
-    Wang's half-extended Euclid: stop at the first remainder within the
-    bound; with 2*bound^2 < modulus such a fraction is unique.
-    """
-    r0, r1 = modulus, u
-    t0, t1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if abs(t1) > bound or math.gcd(r1, t1) != 1:
-        return None
-    return Fraction(r1, t1)
-
-
-def _satisfies(sys: LinSys, values: Sequence[Fraction]) -> bool:
-    """Exact check that `values` solves every row of the system."""
-    den = math.lcm(*(v.denominator for v in values))
-    nums = [v.numerator * (den // v.denominator) for v in values]
-    for coeffs, rhs in sys.rows:
-        # sum(c * v) == rhs, multiplied through by den and by the row's lcm
-        row_den = math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
-        total = sum(c.numerator * (row_den // c.denominator) * x
-                    for c, x in zip(coeffs, nums) if x)
-        if total != rhs.numerator * (row_den // rhs.denominator) * den:
-            return False
-    return True
-
-
-def _pivot_size(x: Fraction) -> int:
-    # smaller representations keep intermediate fractions small
-    return x.numerator.bit_length() + x.denominator.bit_length()
-
-
-def _gauss_jordan(sys: LinSys) -> SolveResult:
-    """Exact rational Gaussian elimination with size-based partial pivoting.
-
-    Inconsistency takes precedence over free columns: a reduced row
-    0 = nonzero is reported even if pivotless columns exist.  This is the
-    reference path: `solve_exact` falls back to it and tests compare
-    against it.
-    """
-    if not sys.rows:
-        raise ValueError("system has no rows")
-    w = sys.width
-    mat = [row[:] + [rhs] for row, rhs in sys.rows]
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    free_cols: list[int] = []
-    rank = 0
-    for col in range(w):
-        best = None
-        best_size = None
-        for r in range(rank, len(mat)):
-            v = mat[r][col]
-            if v:
-                size = _pivot_size(v)
-                if best is None or size < best_size:
-                    best, best_size = r, size
-        if best is None:
-            free_cols.append(col)
+            free.append(col)
+            rows = [row[1:] for row in rows]
             continue
-        mat[rank], mat[best] = mat[best], mat[rank]
-        prow = mat[rank]
-        inv = 1 / prow[col]
-        for j in range(col, w + 1):
-            prow[j] *= inv
-        for r in range(len(mat)):
-            if r == rank:
-                continue
-            f = mat[r][col]
-            if f:
-                row = mat[r]
-                for j in range(col, w + 1):
-                    row[j] -= f * prow[j]
-        pivots.append((rank, col))
-        rank += 1
-    for r in range(rank, len(mat)):
-        if mat[r][w]:
-            return Inconsistent(row_index=r)
-    if free_cols:
-        return Underdetermined(free_column=free_cols[0])
-    values = [Fraction(0)] * w
-    for r, col in pivots:
-        values[col] = mat[r][w]
+        prow = rows.pop(piv)
+        pivots.append(prow)
+        pc, tail = prow[0], prow[1:]
+        for i, row in enumerate(rows):
+            if f := row[0]:
+                row = [pc * x - f * y for x, y in zip(row[1:], tail)]
+                g = math.gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+            else:
+                rows[i] = row[1:]
+    for i, (rhs,) in enumerate(rows):
+        if rhs:
+            return Inconsistent(row_index=len(pivots) + i)
+    if free:
+        return Underdetermined(free_column=free[0])
+    values: list[Fraction] = []  # the unknowns after the current pivot's column
+    for prow in reversed(pivots):
+        known = sum(c * x for c, x in zip(prow[1:-1], values))
+        values.insert(0, (prow[-1] - known) / Fraction(prow[0]))
     return UniqueSolution(values=tuple(values))
 
 

@@ -13,6 +13,12 @@ dense_fit is the moment identities' reference: A_k and B_k by
 undetermined coefficients, an exact solve on the derivation's own re-check
 grid.
 
+gauss_jordan is the exact solve's reference: Fraction Gauss-Jordan
+elimination, where solve_exact eliminates fraction-free in integers below
+the pivots only.  Both take the first remaining row with a nonzero entry as
+the pivot and keep the other rows in input order, so whole results compare
+with ==.
+
 convolution_jets is the jet engine's reference.  Write
 E_a(z) = sum_m Q(m,a) z^m/m!.  The shift decomposition of Kung & Yan
 ("Goncarov polynomials and parking functions", JCTA 2003) gives
@@ -51,7 +57,8 @@ from operator import mul
 from parkstat.airy import airy_moments
 from parkstat.conjecture_fit import (MomentAnsatz, _default_points,
                                      _first_miss, _moment_data)
-from parkstat.exactalg import (LinSys, SymPoly, UniqueSolution, binomial,
+from parkstat.exactalg import (Inconsistent, LinSys, SolveResult, SymPoly,
+                               Underdetermined, UniqueSolution, binomial,
                                binomial_rows, solve_exact, sqrt_decimal,
                                to_sig_str)
 from parkstat.genfun_engine import jet_many
@@ -215,6 +222,41 @@ def dense_fit(k: int, general_a: bool) -> tuple[SymPoly, SymPoly]:
     b_poly = SymPoly(ansatz.symbols, dict(zip(basis_b, sol.values[na:])))
     assert _first_miss(a_poly, b_poly, holdout, data) is None
     return a_poly, b_poly
+
+
+def gauss_jordan(sys: LinSys) -> SolveResult:
+    """solve_exact's result by Fraction Gauss-Jordan elimination.
+
+    Each pivot row is moved up to just below the pivots before it and
+    normalised, and its column is cleared in every other row.  The rows
+    below the last pivot are the leftover rows in input order, and the first
+    of them that reads 0 = nonzero is reported, before any pivotless column.
+    """
+    if not sys.rows:
+        raise ValueError("system has no rows")
+    w = sys.width
+    mat = [row[:] + [rhs] for row, rhs in sys.rows]
+    rank = 0
+    free = []
+    for col in range(w):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            free.append(col)
+            continue
+        mat.insert(rank, mat.pop(piv))
+        inv = 1 / mat[rank][col]
+        prow = mat[rank] = [x * inv for x in mat[rank]]
+        for r, row in enumerate(mat):
+            f = row[col]
+            if r != rank and f:
+                mat[r] = [x - f * y for x, y in zip(row, prow)]
+        rank += 1
+    for r in range(rank, len(mat)):
+        if mat[r][w]:
+            return Inconsistent(row_index=r)
+    if free:
+        return Underdetermined(free_column=free[0])
+    return UniqueSolution(values=tuple(row[w] for row in mat[:w]))
 
 
 def stirling2_rows(j_max: int) -> list[list[int]]:

@@ -145,13 +145,14 @@ def test_derived_identity_holds_off_the_grid(k, n, a):
 
 
 def test_default_fits_reach_no_solve(monkeypatch, capsys):
-    def refuse(sys):
+    def refuse(*args):
         raise AssertionError("the dense solve ran")
 
-    # solve_exact reaches both of its paths through exactalg's globals, so
-    # this also refuses a copy of it imported under another name
-    for name in ("solve_exact", "_solve_modular", "_gauss_jordan"):
-        monkeypatch.setattr(exactalg, name, refuse)
+    # a copy of solve_exact imported under another name escapes the first
+    # patch, but every solve needs a LinSys, and the second refuses to
+    # build one however the class was imported
+    monkeypatch.setattr(exactalg, "solve_exact", refuse)
+    monkeypatch.setattr(exactalg.LinSys, "__init__", refuse)
     for k in ("1", "3", "6"):
         assert cli_main(["fit", "--k", k]) == 0
         assert cli_main(["fit", "--k", k, "--general-a"]) == 0

@@ -69,6 +69,10 @@ MUTANTS = [
      "(m * m != y)", "False"),
     ("int_str capped by the int -> str limit", EXACT,
      "return str(Decimal(x))", "return str(x)"),
+    ("solve_exact elimination sign", EXACT,
+     "pc * x - f * y", "pc * x + f * y"),
+    ("solve_exact back-substitution offset", EXACT,
+     "zip(prow[1:-1], values)", "zip(prow[2:-1], values)"),
 ]
 
 DESELECT = ["tests/test_acceptance.py::test_criterion_9_histogram_scale",
