@@ -21,7 +21,7 @@ deviations |ratio - 1| shrink along the grid and end below THRESHOLD.
 Each ratio is one correctly rounded quotient of integers taken straight
 from the jets and the moment, with no reduced Fraction of the jets' big
 values: the integers divide once into a quotient a digit or two longer
-than the 40 digits the context keeps, and only that short quotient becomes
+than the 40 digits it is rounded to, and only that short quotient becomes
 a Decimal.  So rendering stays cheap at n = 10^5, where the jets hold
 500,000-digit integers.
 """
@@ -37,6 +37,7 @@ from .exactalg import PI_40, TwoPiPow, quotient_decimal, rat_str, to_sig_str
 from .genfun_engine import jet_many
 
 RATIO_DIGITS = 20
+WORK_DIGITS = 40  # the digits PI_40 carries
 THRESHOLD = Fraction(1, 4)
 
 
@@ -122,7 +123,7 @@ def asymptotic_check(order: int, grid: list[int]) -> AsymptoticReport:
     rows: list[RatioRow] = []
     summaries: list[KSummary] = []
     with localcontext() as ctx:
-        ctx.prec = RATIO_DIGITS + 20  # the digits PI_40 carries
+        ctx.prec = WORK_DIGITS
         for k, moment in enumerate(moments, 1):
             devs: list[Decimal] = []
             for n in grid:
@@ -145,16 +146,17 @@ def asymptotic_check(order: int, grid: list[int]) -> AsymptoticReport:
 
 def _ratio_decimal(k: int, n: int, moment: TwoPiPow,
                    values: tuple[int, ...]) -> Decimal:
-    """E_k(n,1) / (e_k n^(3k/2)) at the context's precision.
+    """E_k(n,1) / (e_k n^(3k/2)) to WORK_DIGITS digits.
 
     With E_k = values[k]/values[0] (values[0] = Q(n,1)(1), the count) and
     e_k = r (2*pi)^(h/2), the rational part is one correctly rounded
     quotient of exact integers (exactalg.quotient_decimal: one short
     integer division, no jet-sized Decimal); odd k then divide by
-    sqrt(2*pi*n).
+    sqrt(2*pi*n) in the caller's WORK_DIGITS context.
     """
     ratio = quotient_decimal(values[k] * moment.r.denominator,
-                             values[0] * moment.r.numerator * n ** (3 * k // 2))
+                             values[0] * moment.r.numerator * n ** (3 * k // 2),
+                             WORK_DIGITS)
     if moment.h:
         ratio /= (2 * PI_40 * n).sqrt()
     return ratio

@@ -227,9 +227,10 @@ def leading_asymptotics(fit: FitResult) -> tuple[TwoPiPow, Fraction]:
     """Dominant term of A + B*E_1 as n -> infinity, in exact split form.
 
     Substitutes the expectation's leading asymptotics
-    E_1 ~ (sqrt(2*pi)/4) n^(3/2), so candidates are lead(A) * n^deg(A) and
-    (lead(B)/4) sqrt(2*pi) * n^(deg(B)+3/2); ties in the exponent (only
-    possible between same-parity candidates) are summed, not rejected.
+    E_1 ~ (sqrt(2*pi)/4) n^(3/2), so the candidates are lead(A) * n^deg(A)
+    and (lead(B)/4) sqrt(2*pi) * n^(deg(B)+3/2).  One exponent is an
+    integer and the other an integer plus 3/2, so they never tie and the
+    larger one dominates.
     """
     if fit.status != "verified":
         raise ValueError("leading_asymptotics needs a verified fit")
@@ -246,11 +247,5 @@ def leading_asymptotics(fit: FitResult) -> tuple[TwoPiPow, Fraction]:
                            TwoPiPow(fit.b_poly.coeff_of((d,)) / 4, 1)))
     if not candidates:
         raise ValueError("both fitted polynomials are zero")
-    top = max(e for e, _ in candidates)
-    picked = [c for e, c in candidates if e == top]
-    if len(picked) == 1:
-        return picked[0], top
-    if any(c.h != picked[0].h for c in picked):
-        raise ValueError("ambiguous dominant term with mixed radical parts")
-    total = sum((c.r for c in picked), Fraction(0))
-    return TwoPiPow(total, picked[0].h), top
+    top, term = max(candidates)
+    return term, top

@@ -26,18 +26,21 @@ multiplies polynomials.  `interpolate` turns values at x = 1..m into
 coefficients.
 
 Decimals only appear at the output boundary (quotient_decimal,
-sqrt_decimal, PI_40 for the odd Airy ratios, to_sig_str), with an explicit
-number of significant digits; no record renders its own.  The quotient and
-the root are computed in integers and rounded once, so big operands are
-never converted to Decimal.  PolyX, SymPoly, TwoPiPow and the solve
-results are immutable after construction and safe to share between
-threads; a LinSys is a mutable list of rows, filled by add_row.
+sqrt_decimal, PI_40 for the odd Airy ratios, to_sig_str); no record renders
+its own.  Each helper takes its number of significant digits as an
+argument and rounds with an explicit Context, so none reads the thread's
+Decimal context.  The quotient and the root of two integers are computed in
+integers with a sticky last digit and rounded once, so each is correctly
+rounded and big operands are never converted to Decimal.  PolyX, SymPoly,
+TwoPiPow and the solve results are immutable after construction and safe
+to share between threads; a LinSys is a mutable list of rows, filled by
+add_row.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import ROUND_HALF_EVEN, Context, Decimal, getcontext, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -433,52 +436,57 @@ def _scale(num: int, den: int, digits: int) -> int:
     return digits - (-e * (30103 if e > 0 else 30102) // 100000)
 
 
-def quotient_decimal(num: int, den: int) -> Decimal:
-    """num/den for num >= 0 and den > 0, correctly rounded at the context's
-    precision and rounding: equal in value to Decimal(num) / Decimal(den),
-    but not in exponent.  The result keeps all prec digits of the scaled
-    quotient (at prec 40, 1/4 is 0.2500...0, and 0/d is 0E-43), so callers
-    render it through to_sig_str, not str or format.
+def quotient_decimal(num: int, den: int, digits: int) -> Decimal:
+    """num/den for integers num >= 0 and den > 0, correctly rounded
+    half-even to `digits` significant digits: equal in value to
+    Decimal(num) / Decimal(den) at that precision, but not in exponent.
+    The result keeps all its digits (at 40 digits, 1/4 is 0.2500...0, and
+    0/d is 0E-43), so callers render it through to_sig_str, not str or
+    format.
 
     One short division: q, r = divmod(num 10^s, den) with q of at least
-    prec+1 digits, whatever the operands' sizes, so the division costs
+    digits+1 digits, whatever the operands' sizes, so the division costs
     about the operands' length and only q becomes a Decimal.  A sticky last
-    digit, 1 when r != 0, and one rounding to prec digits follow.  Every
-    point where that rounding changes (a prec-digit value, or a midpoint
-    between two) is a multiple of 10^-s, so the sticky digit moves an
-    inexact quotient off such a point and never across one: the result is
-    the rounding of the exact num/den.
+    digit, 1 when r != 0, and one rounding follow.  This is rounding to odd
+    (Boldo and Melquiond, IEEE Trans. Computers 57, 2008): every point
+    where the final rounding changes (a value of `digits` digits, or a
+    midpoint between two) is a multiple of 10^-s, so the sticky digit moves
+    an inexact quotient off such a point and never across one, and the
+    result is the rounding of the exact num/den.
     """
-    s = _scale(num, den, getcontext().prec)
+    s = _scale(num, den, digits)
     q, r = divmod(num * 10 ** max(s, 0), den * 10 ** max(-s, 0))
-    return Decimal(10 * q + (r != 0)).scaleb(-s - 1)
+    return Decimal(10 * q + (r != 0)).scaleb(
+        -s - 1, Context(prec=digits, rounding=ROUND_HALF_EVEN))
 
 
-def sqrt_decimal(x: RatLike, prec: int) -> Decimal:
-    """Square root of a nonnegative rational, correctly rounded half-even
-    to prec digits.
+def sqrt_decimal(num: int, den: int, digits: int) -> Decimal:
+    """Square root of num/den for integers num >= 0 and den > 0, correctly
+    rounded half-even to `digits` significant digits.
 
-    As in quotient_decimal: the integer root m of y = x 10^2t gets at least
-    prec+1 digits, and a sticky last digit records whether m^2 != y.  Also
-    as there, the result is exact in value, not in exponent (sqrt 0 is
-    0E-(prec+2)), so callers render it through to_sig_str.
+    As in quotient_decimal: y, r = divmod(num 100^t, den), the integer root
+    m = isqrt(y) gets at least digits+1 digits, and a sticky last digit
+    records an inexact root (r != 0 or m^2 != y), so one rounding to odd
+    suffices.  Also as there, the result is exact in value, not in exponent
+    (sqrt 0 is 0E-(digits+2)), so callers render it through to_sig_str.
     """
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("square root of a negative value")
-    t = -(-_scale(x.numerator, x.denominator, 2 * prec) // 2)
-    y = x * Fraction(100) ** t
-    m = math.isqrt(y.numerator // y.denominator)
-    return Decimal(10 * m + (m * m != y)).scaleb(
-        -t - 1, Context(prec=prec, rounding=ROUND_HALF_EVEN))
+    if num < 0 or den <= 0:
+        raise ValueError("square root needs num >= 0 and den > 0")
+    t = -(-_scale(num, den, 2 * digits) // 2)
+    y, r = divmod(num * 100 ** max(t, 0), den * 100 ** max(-t, 0))
+    m = math.isqrt(y)
+    return Decimal(10 * m + (r != 0 or m * m != y)).scaleb(
+        -t - 1, Context(prec=digits, rounding=ROUND_HALF_EVEN))
 
 
 def to_sig_str(d: Decimal, sig: int) -> str:
-    """Fixed-point string with `sig` significant digits, never scientific."""
+    """Fixed-point string of d rounded half-even to exactly `sig`
+    significant digits, never scientific: 9.96 at 2 is "10", 0.5 at 3 is
+    "0.500" and 12345678 at 4 is "12350000".  Zero is "0"."""
     if d == 0:
         return "0"
-    with localcontext() as ctx:
-        ctx.prec = max(sig + 4, 28)
-        q = d.quantize(Decimal(1).scaleb(d.adjusted() - sig + 1),
-                       rounding=ROUND_HALF_EVEN)
-    return format(q, "f")
+    ctx = Context(prec=sig, rounding=ROUND_HALF_EVEN)
+    q = ctx.plus(d)  # the one rounding; a carry lands in q's exponent
+    # pad with zeros to sig digits, which is exact
+    pad = Decimal(1).scaleb(q.adjusted() - sig + 1, ctx)
+    return format(q.quantize(pad, context=ctx), "f")

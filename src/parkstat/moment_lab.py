@@ -21,14 +21,15 @@ scaled moments are kept in exact split form central_j * variance^(-j/2)
 the output boundary, at an explicit precision).  convert_moments runs in
 integers over one common denominator D, which divides a(a+n)^(n-1): raw
 moment j is R_j/D and central moment j is C_j/D^j, each reduced by one gcd
-at the end rather than by a Fraction operation per term.  The module keeps
-no mutable state of its own.
+at the end rather than by a Fraction operation per term.  The scaled
+histogram renders each row's x and density as one correctly rounded square
+root of exact integers (see scaled_histogram).  The module keeps no mutable
+state of its own.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -226,8 +227,10 @@ def scaled_histogram(n: int, a: int = 1, precision: int = 15,
                      budget: int = DEFAULT_BUDGET) -> ScaledHistogram:
     """Rows (area, exact count, x, density) over every conceivable area.
 
-    E and Var are computed exactly from the full generating polynomial
-    before anything is rendered as a decimal.
+    Each value is one correctly rounded root of exact integers.  With
+    T = sum c, m1 = sum m c, spread = T sum m^2 c - m1^2 (T^2 Var) and
+    d = m T - m1 for the row at area m: |x| = sqrt(d^2/spread) with the
+    sign of d, and density = c sigma/T = sqrt(c^2 spread/T^4).
     """
     if n < 2:
         raise ValueError("need n >= 2 for a positive variance")
@@ -237,22 +240,19 @@ def scaled_histogram(n: int, a: int = 1, precision: int = 15,
     poly: PolyX = gf.poly
     total = poly.eval_one()
     m1 = sum(m * c for m, c in enumerate(poly.coeffs))
-    m2 = sum(m * m * c for m, c in enumerate(poly.coeffs))
-    mean = Fraction(m1, total)
-    variance = Fraction(m2, total) - mean * mean
-    with localcontext() as ctx:
-        ctx.prec = precision + 10
-        sigma = sqrt_decimal(variance, precision + 10)
-        rows = []
-        for m, c in enumerate(poly.coeffs):
-            if not c:
-                continue
-            x = Decimal(m * total - m1) / total / sigma
-            density = c * sigma / total
-            rows.append(HistogramRow(
-                area=m, count=c,
-                x=to_sig_str(x, precision),
-                density=to_sig_str(density, precision),
-            ))
-    return ScaledHistogram(n=n, a=a, mean=mean, variance=variance,
-                           rows=tuple(rows))
+    spread = total * sum(m * m * c for m, c in enumerate(poly.coeffs)) - m1 * m1
+    total4 = total ** 4
+    rows = []
+    for m, c in enumerate(poly.coeffs):
+        if not c:
+            continue
+        d = m * total - m1
+        x = sqrt_decimal(d * d, spread, precision)
+        rows.append(HistogramRow(
+            area=m, count=c,
+            x=to_sig_str(x.copy_negate() if d < 0 else x, precision),
+            density=to_sig_str(sqrt_decimal(c * c * spread, total4, precision),
+                               precision),
+        ))
+    return ScaledHistogram(n=n, a=a, mean=Fraction(m1, total),
+                           variance=Fraction(spread, total * total), rows=tuple(rows))

@@ -43,10 +43,12 @@ and the raw and central moments by Fraction arithmetic term by term, where
 moment_lab works in integers over one common denominator.
 
 fraction_ratio_rows and fraction_hist_rows are the decimal rendering's
-reference: each Airy ratio and each histogram x goes through a reduced
-Fraction before its one decimal division, where the engines divide the
-unreduced integers, and pi comes from PI_110 rather than the engine's
-constant.
+reference.  Each Airy ratio goes through a reduced Fraction before its one
+decimal division, where airy divides the unreduced integers, and pi comes
+from PI_110 rather than the engine's constant.  Each histogram x and
+density is a chain of Decimal operations on the reduced mean and variance,
+sigma from Decimal's own square root, at 30 guard digits, where
+moment_lab takes one correctly rounded integer root per value.
 """
 
 import math
@@ -59,8 +61,7 @@ from parkstat.conjecture_fit import (MomentAnsatz, _default_points,
                                      _first_miss, _moment_data)
 from parkstat.exactalg import (Inconsistent, LinSys, SolveResult, SymPoly,
                                Underdetermined, UniqueSolution, binomial,
-                               binomial_rows, solve_exact, sqrt_decimal,
-                               to_sig_str)
+                               binomial_rows, solve_exact, to_sig_str)
 from parkstat.genfun_engine import jet_many
 
 # pi to 110 significant digits
@@ -306,14 +307,15 @@ def fraction_ratio_rows(order: int, grid) -> list[tuple[int, int, str, str]]:
 
 
 def fraction_hist_rows(coeffs, precision: int) -> list[tuple[int, int, str, str]]:
-    """(area, count, x, density) of the scaled histogram, x from m - mean."""
+    """(area, count, x, density) of the scaled histogram, with x = (m - mean)
+    / sigma and density = c sigma / total from the reduced Fractions."""
     total = sum(coeffs)
     mean = Fraction(sum(m * c for m, c in enumerate(coeffs)), total)
     variance = Fraction(sum(m * m * c for m, c in enumerate(coeffs)), total) - mean**2
     rows = []
     with localcontext() as ctx:
-        ctx.prec = precision + 10
-        sigma = sqrt_decimal(variance, precision + 10)
+        ctx.prec = precision + 30
+        sigma = (Decimal(variance.numerator) / Decimal(variance.denominator)).sqrt()
         for m, c in enumerate(coeffs):
             if c:
                 x = Decimal((m - mean).numerator) / Decimal((m - mean).denominator) / sigma

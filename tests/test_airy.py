@@ -1,6 +1,6 @@
 """Tests for the Airy moments and the convergence report."""
 
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parkstat.airy import airy_moments, asymptotic_check
+from parkstat.exactalg import quotient_decimal, sqrt_decimal, to_sig_str
 from parkstat.moment_lab import scaled_histogram
 from reference import fraction_hist_rows, fraction_ratio_rows
 
@@ -87,6 +88,31 @@ def test_ratio_and_x_strings_match_fraction_reference(order, grid, n, a, precisi
     for r in hist.rows:
         coeffs[r.area] = r.count
     assert [tuple(r) for r in hist.rows] == fraction_hist_rows(coeffs, precision)
+
+
+@pytest.mark.parametrize("n,a", [(2, 1), (9, 3), (30, 1)])
+def test_hist_rows_at_precision_40_match_fraction_reference(n, a):
+    hist = scaled_histogram(n, a, 40)
+    coeffs = [0] * (hist.rows[-1].area + 1)
+    for r in hist.rows:
+        coeffs[r.area] = r.count
+    assert [tuple(r) for r in hist.rows] == fraction_hist_rows(coeffs, 40)
+
+
+def test_renderers_ignore_the_thread_decimal_context():
+    # every helper takes its digits as an argument, so a small ambient
+    # precision changes no digit
+    def render():
+        return (scaled_histogram(12, 2, 40), asymptotic_check(3, [10, 40]),
+                quotient_decimal(10**60 + 7, 3**50, 45), sqrt_decimal(2, 7**30, 45),
+                to_sig_str(Decimal("9.96"), 2))
+
+    want = render()
+    with localcontext() as ctx:
+        ctx.prec = 3
+        got = render()
+    assert got == want
+    assert [str(x) for x in got[2:4]] == [str(x) for x in want[2:4]]
 
 
 def test_asymptotic_check_grid_validation():

@@ -336,9 +336,7 @@ def test_renderers_are_not_capped_by_the_int_str_limit():
 def test_quotient_decimal_ties_at_one_digit(num, den, want):
     # 0.25 and 0.35 are ties, rounded half-even; 0.250001 is just past the
     # tie 0.25, which only the sticky digit records
-    with localcontext() as ctx:
-        ctx.prec = 1
-        assert str(quotient_decimal(num, den)) == want
+    assert str(quotient_decimal(num, den, 1)) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -357,9 +355,9 @@ def test_quotient_decimal_matches_decimal_division(num_bits, den_bits, prec, kin
         m = data.draw(st.integers(10 ** (prec - 1), 10**prec - 1))
         num = (10 * m + 5) * den + (kind == "past")
         den *= 10 ** data.draw(st.integers(0, 60))
+    got = quotient_decimal(num, den, prec)
     with localcontext() as ctx:
         ctx.prec = prec
-        got = quotient_decimal(num, den)
         want = Decimal(num) / Decimal(den)
     assert got == want
     assert to_sig_str(got, prec) == to_sig_str(want, prec)
@@ -368,12 +366,20 @@ def test_quotient_decimal_matches_decimal_division(num_bits, den_bits, prec, kin
 def test_sqrt_decimal_is_correctly_rounded():
     # rounding the quotient and then the root missed here by one in the
     # last digit: the root is 0.538783...
-    assert sqrt_decimal(Fraction(77487, 266933), 5) == Decimal("0.53878")
-    assert sqrt_decimal(Fraction(0), 5) == 0
-    assert sqrt_decimal(Fraction(1, 4), 1) == Decimal("0.5")
-    assert sqrt_decimal(Fraction(25, 16), 2) == Decimal("1.2")  # tie 1.25
-    # just past the tie: 1.250001 rounds up, which only the exactness test sees
-    assert sqrt_decimal(Fraction(1250001, 10**6) ** 2, 2) == Decimal("1.3")
+    assert sqrt_decimal(77487, 266933, 5) == Decimal("0.53878")
+    assert sqrt_decimal(0, 7, 5) == 0
+    assert sqrt_decimal(1, 4, 1) == Decimal("0.5")
+    assert sqrt_decimal(25, 16, 2) == Decimal("1.2")  # tie 1.25
+    # the operands need not be reduced
+    assert sqrt_decimal(25 * 3**40, 16 * 3**40, 2) == Decimal("1.2")
+    # just past the tie: 1.250001 rounds up, which only the exactness test
+    # sees; the integer part of 1.250001^2 10^4 is 15625 = 125^2, so it is
+    # the division's remainder that shows the root is not 1.25
+    assert sqrt_decimal(1250001**2, 10**12, 2) == Decimal("1.3")
+    with pytest.raises(ValueError):
+        sqrt_decimal(-1, 1, 5)
+    with pytest.raises(ValueError):
+        sqrt_decimal(1, 0, 5)
 
 
 @settings(max_examples=300, deadline=None)
@@ -384,7 +390,7 @@ def test_sqrt_decimal_is_correctly_rounded():
 def test_sqrt_decimal_brackets_the_root(x, prec):
     # r is correctly rounded iff (r - ulp_below/2)^2 <= x <= (r + ulp/2)^2,
     # and at equality r's last digit is even (half-even)
-    r = sqrt_decimal(x, prec)
+    r = sqrt_decimal(x.numerator, x.denominator, prec)
     if x == 0:
         assert r == 0
         return
@@ -407,8 +413,19 @@ def test_decimal_rendering():
     assert to_sig_str(Decimal(12345678), 4) == "12350000"
     assert to_sig_str(Decimal(-1) / Decimal(8), 3) == "-0.125"
     assert to_sig_str(Decimal(0), 5) == "0"
-    s = sqrt_decimal(Fraction(2), 25)
+    # a histogram row at the mean has d = 0, and its x must print "0"
+    assert to_sig_str(sqrt_decimal(0, 5, 3), 3) == "0"
+    s = sqrt_decimal(2, 1, 25)
     assert str(s).startswith("1.414213562373095")
+
+
+@pytest.mark.parametrize("d,sig,want", [
+    ("9.96", 2, "10"), ("0.0000999", 2, "0.00010"), ("-9.951", 2, "-10"),
+    ("9.5", 1, "10"), ("0.5", 3, "0.500"), ("12345678", 4, "12350000")])
+def test_to_sig_str_prints_exactly_sig_digits(d, sig, want):
+    # a rounding that carries into the next power of ten used to print one
+    # digit too many: "10.0" for 9.96 at 2
+    assert to_sig_str(Decimal(d), sig) == want
 
 
 def test_pi_decimal_matches_reference_digits():

@@ -246,7 +246,7 @@ def test_scaled_histogram_small():
 
 def test_scaled_histogram_density_integrates_to_one():
     hist = scaled_histogram(6, 1, precision=18)
-    sigma = sqrt_decimal(hist.variance, 30)
+    sigma = sqrt_decimal(hist.variance.numerator, hist.variance.denominator, 30)
     total = sum(Decimal(r.density) for r in hist.rows) / sigma
     assert abs(total - 1) < Decimal("1e-12")
 

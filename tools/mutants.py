@@ -66,7 +66,13 @@ MUTANTS = [
     ("quotient guard digit dropped", EXACT,
      "return digits - (-e", "return digits - 1 - (-e"),
     ("sqrt exactness test dropped", EXACT,
-     "(m * m != y)", "False"),
+     "r != 0 or m * m != y", "False"),
+    ("sqrt remainder dropped", EXACT,
+     "r != 0 or m * m != y", "m * m != y"),
+    ("to_sig_str carry fix dropped", EXACT,
+     "scaleb(q.adjusted() - sig + 1", "scaleb(d.adjusted() - sig + 1"),
+    ("histogram x sign dropped", MOMENTS,
+     "x.copy_negate() if d < 0 else x", "x"),
     ("int_str capped by the int -> str limit", EXACT,
      "return str(Decimal(x))", "return str(x)"),
     ("solve_exact elimination sign", EXACT,
