@@ -18,18 +18,22 @@ drift fails loudly.
 asymptotic_check then renders, for each k, the exact ratio
 E_k(n,1) / (m_k n^(3k/2)) on a grid of n values and reports whether the
 deviations |ratio - 1| shrink along the grid and end below THRESHOLD.
-Each ratio is one correctly rounded quotient of integers taken straight
-from the jets and the moment, with no reduced Fraction of the jets' big
-values: the integers divide once into a quotient a digit or two longer
-than the 40 digits it is rounded to, and only that short quotient becomes
-a Decimal.  So rendering stays cheap at n = 10^5, where the jets hold
-500,000-digit integers.
+The rational part of each ratio is one correctly rounded quotient of
+integers taken straight from the jets and the moment, with no reduced
+Fraction of the jets' big values: the integers divide once into a
+quotient a digit or two longer than the 40 digits it is rounded to, and
+only that short quotient becomes a Decimal.  So rendering stays cheap at
+n = 10^5, where the jets hold 500,000-digit integers.  For even k that
+quotient is the ratio; odd k divide it by sqrt(2*pi*n), with 2*pi*n, the
+root and the division each rounded to 40 digits.  Every Decimal operation
+goes through the methods of one Context built per call, never the
+thread's context, so the report depends on the arguments alone.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -122,41 +126,39 @@ def asymptotic_check(order: int, grid: list[int]) -> AsymptoticReport:
     jets = jet_many([(n, 1) for n in grid], order)
     rows: list[RatioRow] = []
     summaries: list[KSummary] = []
-    with localcontext() as ctx:
-        ctx.prec = WORK_DIGITS
-        for k, moment in enumerate(moments, 1):
-            devs: list[Decimal] = []
-            for n in grid:
-                ratio = _ratio_decimal(k, n, moment, jets[(n, 1)].values)
-                dev = abs(ratio - 1)
-                devs.append(dev)
-                rows.append(RatioRow(k=k, n=n,
-                                     ratio=to_sig_str(ratio, RATIO_DIGITS),
-                                     deviation=to_sig_str(dev, RATIO_DIGITS)))
-            decreasing = all(devs[i + 1] < devs[i] for i in range(len(devs) - 1))
-            summaries.append(KSummary(
-                k=k,
-                decreasing=decreasing,
-                final_deviation=to_sig_str(devs[-1], RATIO_DIGITS),
-                below_threshold=devs[-1] < THRESHOLD,
-            ))
+    ctx = Context(prec=WORK_DIGITS, rounding=ROUND_HALF_EVEN)
+    for k, moment in enumerate(moments, 1):
+        devs: list[Decimal] = []
+        for n in grid:
+            ratio = _ratio_decimal(k, n, moment, jets[(n, 1)].values, ctx)
+            devs.append(ctx.abs(ctx.subtract(ratio, 1)))
+            rows.append(RatioRow(k=k, n=n,
+                                 ratio=to_sig_str(ratio, RATIO_DIGITS),
+                                 deviation=to_sig_str(devs[-1], RATIO_DIGITS)))
+        summaries.append(KSummary(
+            k=k,
+            decreasing=all(devs[i + 1] < devs[i] for i in range(len(devs) - 1)),
+            final_deviation=rows[-1].deviation,
+            below_threshold=devs[-1] < THRESHOLD,
+        ))
     return AsymptoticReport(moments=moments, grid=tuple(grid),
                             rows=tuple(rows), per_k=tuple(summaries))
 
 
 def _ratio_decimal(k: int, n: int, moment: TwoPiPow,
-                   values: tuple[int, ...]) -> Decimal:
+                   values: tuple[int, ...], ctx: Context) -> Decimal:
     """E_k(n,1) / (e_k n^(3k/2)) to WORK_DIGITS digits.
 
     With E_k = values[k]/values[0] (values[0] = Q(n,1)(1), the count) and
     e_k = r (2*pi)^(h/2), the rational part is one correctly rounded
     quotient of exact integers (exactalg.quotient_decimal: one short
     integer division, no jet-sized Decimal); odd k then divide by
-    sqrt(2*pi*n) in the caller's WORK_DIGITS context.
+    sqrt(2*pi*n), each step rounded in ctx, the WORK_DIGITS context
+    asymptotic_check builds.
     """
     ratio = quotient_decimal(values[k] * moment.r.denominator,
                              values[0] * moment.r.numerator * n ** (3 * k // 2),
                              WORK_DIGITS)
     if moment.h:
-        ratio /= (2 * PI_40 * n).sqrt()
+        ratio = ctx.divide(ratio, ctx.sqrt(ctx.multiply(ctx.multiply(2, PI_40), n)))
     return ratio

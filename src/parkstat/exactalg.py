@@ -26,15 +26,16 @@ multiplies polynomials.  `interpolate` turns values at x = 1..m into
 coefficients.
 
 Decimals only appear at the output boundary (quotient_decimal,
-sqrt_decimal, PI_40 for the odd Airy ratios, to_sig_str); no record renders
-its own.  Each helper takes its number of significant digits as an
-argument and rounds with an explicit Context, so none reads the thread's
-Decimal context.  The quotient and the root of two integers are computed in
-integers with a sticky last digit and rounded once, so each is correctly
-rounded and big operands are never converted to Decimal.  PolyX, SymPoly,
-TwoPiPow and the solve results are immutable after construction and safe
-to share between threads; a LinSys is a mutable list of rows, filled by
-add_row.
+sqrt_decimal, PI_40 for the odd Airy ratios, to_sig_str); the one other
+Decimal arithmetic is airy's division of odd-k ratios by sqrt(2*pi*n).
+Each helper takes its number of significant digits as an argument and
+rounds with an explicit Context, as airy does, so nothing in the package
+reads the thread's Decimal context.  The quotient and the root of two
+integers are computed in integers with a sticky last digit and rounded
+once, so each is correctly rounded and big operands are never converted
+to Decimal.  PolyX, SymPoly, TwoPiPow and the solve results are immutable
+after construction and safe to share between threads; a LinSys is a
+mutable list of rows, filled by add_row.
 """
 
 from __future__ import annotations

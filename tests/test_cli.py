@@ -309,7 +309,7 @@ def test_cli_fuzz_exit_codes(argv):
 
 
 # (argv, exit code, sha256 of stdout, stderr): every command in every format
-# plus one exit 2, 3 and 4 each, recorded before the handlers shared one
+# plus exit 2, 3 and 4 cases, recorded before the handlers shared one
 # output path, so any change to the bytes a command writes shows here
 GOLDEN = [
     ("count --n 5 --a 2 --format csv", 0,
@@ -412,6 +412,10 @@ GOLDEN = [
     ("airy --k 2 --grid 9,25", 4,
      "52497126adff52f76f14c2f11d33c98c0f30cbcd962929eb1e4a2059ffb175ac",
      "airy: convergence check failed for k in [1, 2]\n"),
+    # the rows for k = 3..8 too, odd k through the sqrt(2*pi*n) division
+    ("airy --k 8 --grid 100,400 --format csv", 4,
+     "051f6b08b9f46159e3870ab7e561a0fb1cd731c973b99ef5f91a329392b8c8f5",
+     "airy: convergence check failed for k in [4, 5, 6, 7, 8]\n"),
 ]
 
 

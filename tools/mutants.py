@@ -34,6 +34,7 @@ ENGINE = "src/parkstat/genfun_engine.py"
 KERNELS = "src/parkstat/_kernels_pure.py"
 EXACT = "src/parkstat/exactalg.py"
 MOMENTS = "src/parkstat/moment_lab.py"
+AIRY = "src/parkstat/airy.py"
 
 MUTANTS = [
     ("abel_sum leaf", ENGINE,
@@ -55,8 +56,10 @@ MUTANTS = [
      "weight //= factorial(m)", "weight //= m"),
     ("count_symbolic running binomial", "src/parkstat/counting_engine.py",
      "c, power = c * j // (n - j), power * n", "c, power = c * (j + 1) // (n - j), power * n"),
-    ("odd-k Airy divisor", "src/parkstat/airy.py",
-     "ratio /= (2 * PI_40 * n).sqrt()", "ratio /= (PI_40 * n).sqrt()"),
+    ("odd-k Airy divisor", AIRY,
+     "ctx.multiply(ctx.multiply(2, PI_40), n)", "ctx.multiply(PI_40, n)"),
+    ("Airy deviation abs dropped", AIRY,
+     "ctx.abs(ctx.subtract(ratio, 1))", "ctx.subtract(ratio, 1)"),
     ("convert_moments mean sign", MOMENTS,
      "(-raw[0]) ** (j - i)", "raw[0] ** (j - i)"),
     ("stirling2 sign", MOMENTS,
