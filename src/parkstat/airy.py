@@ -26,18 +26,20 @@ only that short quotient becomes a Decimal.  So rendering stays cheap at
 n = 10^5, where the jets hold 500,000-digit integers.  For even k that
 quotient is the ratio; odd k divide it by sqrt(2*pi*n), with 2*pi*n, the
 root and the division each rounded to 40 digits.  Every Decimal operation
-goes through the methods of one Context built per call, never the
-thread's context, so the report depends on the arguments alone.
+goes through the methods of one Context that exactalg.decimal_context
+builds per call, never the thread's context or decimal.DefaultContext, so
+the report depends on the arguments alone.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import ROUND_HALF_EVEN, Context, Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactalg import PI_40, TwoPiPow, quotient_decimal, rat_str, to_sig_str
+from .exactalg import (PI_40, TwoPiPow, decimal_context, quotient_decimal, rat_str,
+                       to_sig_str)
 from .genfun_engine import jet_many
 
 RATIO_DIGITS = 20
@@ -126,7 +128,7 @@ def asymptotic_check(order: int, grid: list[int]) -> AsymptoticReport:
     jets = jet_many([(n, 1) for n in grid], order)
     rows: list[RatioRow] = []
     summaries: list[KSummary] = []
-    ctx = Context(prec=WORK_DIGITS, rounding=ROUND_HALF_EVEN)
+    ctx = decimal_context(WORK_DIGITS)
     for k, moment in enumerate(moments, 1):
         devs: list[Decimal] = []
         for n in grid:
@@ -153,8 +155,8 @@ def _ratio_decimal(k: int, n: int, moment: TwoPiPow,
     e_k = r (2*pi)^(h/2), the rational part is one correctly rounded
     quotient of exact integers (exactalg.quotient_decimal: one short
     integer division, no jet-sized Decimal); odd k then divide by
-    sqrt(2*pi*n), each step rounded in ctx, the WORK_DIGITS context
-    asymptotic_check builds.
+    sqrt(2*pi*n), each step rounded in ctx, asymptotic_check's
+    WORK_DIGITS context.
     """
     ratio = quotient_decimal(values[k] * moment.r.denominator,
                              values[0] * moment.r.numerator * n ** (3 * k // 2),

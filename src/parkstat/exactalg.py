@@ -29,19 +29,22 @@ Decimals only appear at the output boundary (quotient_decimal,
 sqrt_decimal, PI_40 for the odd Airy ratios, to_sig_str); the one other
 Decimal arithmetic is airy's division of odd-k ratios by sqrt(2*pi*n).
 Each helper takes its number of significant digits as an argument and
-rounds with an explicit Context, as airy does, so nothing in the package
-reads the thread's Decimal context.  The quotient and the root of two
-integers are computed in integers with a sticky last digit and rounded
-once, so each is correctly rounded and big operands are never converted
-to Decimal.  PolyX, SymPoly, TwoPiPow and the solve results are immutable
-after construction and safe to share between threads; a LinSys is a
-mutable list of rows, filled by add_row.
+rounds in a Context from decimal_context, as airy does.  That constructor
+is the package's one rounding policy: half-even, with every other field
+fixed at the decimal module's stock value, so no result depends on the
+thread's Decimal context or on decimal.DefaultContext.  The quotient and
+the root of two integers are computed in integers with a sticky last
+digit and rounded once, so each is correctly rounded and big operands are
+never converted to Decimal.  PolyX, SymPoly, TwoPiPow and the solve
+results are immutable after construction and safe to share between
+threads; a LinSys is a mutable list of rows, filled by add_row.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import ROUND_HALF_EVEN, Context, Decimal
+from decimal import (ROUND_HALF_EVEN, Context, Decimal, DivisionByZero,
+                     InvalidOperation, Overflow)
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -130,18 +133,6 @@ class PolyX:
 
     def eval_one(self) -> int:
         return sum(self.coeffs)
-
-    def derivatives_at_one(self, order: int) -> tuple[int, ...]:
-        """(p(1), p'(1), ..., p^(order)(1)) via falling-factorial sums.
-
-        Independent of any recurrence machinery: computed directly as
-        sum_m coeffs[m] * m(m-1)...(m-i+1), so it can audit other paths.
-        """
-        out = []
-        for i in range(order + 1):
-            out.append(sum(c * falling_factorial(m, i)
-                           for m, c in enumerate(self.coeffs) if c))
-        return tuple(out)
 
     def reverse(self, offset: int) -> PolyX:
         """x^offset * p(1/x) as a polynomial; needs offset >= degree."""
@@ -429,6 +420,20 @@ def rat_str(x: RatLike) -> str:
     return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
 
 
+def decimal_context(digits: int) -> Context:
+    """A new Context that rounds half-even to `digits` significant digits,
+    the one rounding policy of the package.
+
+    Every other field is spelled out at the decimal module's stock value:
+    a field left unset would be copied from decimal.DefaultContext, which
+    any code in the process may edit.  A fresh object per call, because a
+    Context's flags are mutable and a shared one would be shared state.
+    """
+    return Context(prec=digits, rounding=ROUND_HALF_EVEN, Emin=-999999, Emax=999999,
+                   capitals=1, clamp=0, flags=[],
+                   traps=[InvalidOperation, DivisionByZero, Overflow])
+
+
 def _scale(num: int, den: int, digits: int) -> int:
     """An s with num 10^s / den >= 10^digits when num > 0 (den > 0), from
     the bit lengths alone: num/den > 2^-e, and ceil(e c) >= e log10(2) when
@@ -457,8 +462,7 @@ def quotient_decimal(num: int, den: int, digits: int) -> Decimal:
     """
     s = _scale(num, den, digits)
     q, r = divmod(num * 10 ** max(s, 0), den * 10 ** max(-s, 0))
-    return Decimal(10 * q + (r != 0)).scaleb(
-        -s - 1, Context(prec=digits, rounding=ROUND_HALF_EVEN))
+    return Decimal(10 * q + (r != 0)).scaleb(-s - 1, decimal_context(digits))
 
 
 def sqrt_decimal(num: int, den: int, digits: int) -> Decimal:
@@ -476,8 +480,7 @@ def sqrt_decimal(num: int, den: int, digits: int) -> Decimal:
     t = -(-_scale(num, den, 2 * digits) // 2)
     y, r = divmod(num * 100 ** max(t, 0), den * 100 ** max(-t, 0))
     m = math.isqrt(y)
-    return Decimal(10 * m + (r != 0 or m * m != y)).scaleb(
-        -t - 1, Context(prec=digits, rounding=ROUND_HALF_EVEN))
+    return Decimal(10 * m + (r != 0 or m * m != y)).scaleb(-t - 1, decimal_context(digits))
 
 
 def to_sig_str(d: Decimal, sig: int) -> str:
@@ -486,7 +489,7 @@ def to_sig_str(d: Decimal, sig: int) -> str:
     "0.500" and 12345678 at 4 is "12350000".  Zero is "0"."""
     if d == 0:
         return "0"
-    ctx = Context(prec=sig, rounding=ROUND_HALF_EVEN)
+    ctx = decimal_context(sig)
     q = ctx.plus(d)  # the one rounding; a carry lands in q's exponent
     # pad with zeros to sig digits, which is exact
     pad = Decimal(1).scaleb(q.adjusted() - sig + 1, ctx)

@@ -36,6 +36,10 @@ Taylor basis T_i = Q^(i)(1)/i!, where products are truncated Leibniz
 convolutions and the bracket [e]_x is the jet C(e, t+1).  The cost is
 O(n^2 K^2) big-by-big products per shift.
 
+derivatives_at_one reads the jets off a polynomial's coefficients, the
+falling-factorial sums of the definition, so the jet engine is checked
+against the area polynomials as well as against the convolution.
+
 stirling2_rows and fraction_convert_moments are the moment conversion's
 reference: the Stirling numbers by the triangular recurrence
 S(j,k) = S(j-1,k-1) + k S(j-1,k), where moment_lab uses the explicit sum,
@@ -184,6 +188,14 @@ def reference_jets(targets, order: int) -> dict[tuple[int, int], tuple[int, ...]
             taylor = runs[a][n]
         out[(n, a)] = tuple(t * f for t, f in zip(taylor, fact))
     return out
+
+
+def derivatives_at_one(coeffs, order: int) -> tuple[int, ...]:
+    """(p(1), p'(1), ..., p^(order)(1)) of the polynomial with coefficients
+    `coeffs`, lowest power first, straight from the definition:
+    p^(i)(1) = sum_m coeffs[m] m(m-1)...(m-i+1)."""
+    return tuple(sum(c * math.perm(m, i) for m, c in enumerate(coeffs))
+                 for i in range(order + 1))
 
 
 def monomials(symbols: tuple[str, ...], deg: int) -> list[tuple[int, ...]]:

@@ -1,5 +1,6 @@
 """Tests for the Airy moments and the convergence report."""
 
+import decimal
 from decimal import ROUND_FLOOR, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 
@@ -100,13 +101,19 @@ def test_hist_rows_at_precision_40_match_fraction_reference(n, a):
 
 
 def test_renderers_ignore_the_thread_decimal_context():
-    # every helper takes its digits as an argument and rounds in its own
-    # Context, so an ambient context that keeps 3 digits, rounds down and
-    # traps every rounding changes no digit and raises nothing
+    # every helper takes its digits as an argument and rounds in a Context
+    # from exactalg.decimal_context, whose fields are all set there: neither
+    # an ambient context that keeps 3 digits, rounds down and traps every
+    # rounding, nor a DefaultContext that traps roundings and narrows the
+    # exponent range, changes a digit or an exponent, or raises
     def render():
         return (scaled_histogram(12, 2, 40), asymptotic_check(3, [10, 40]),
                 quotient_decimal(10**60 + 7, 3**50, 45), sqrt_decimal(2, 7**30, 45),
                 to_sig_str(Decimal("9.96"), 2))
+
+    def assert_same(got, want):
+        assert got == want
+        assert [x.as_tuple() for x in got[2:4]] == [x.as_tuple() for x in want[2:4]]
 
     want = render()
     with localcontext() as ctx:
@@ -114,8 +121,20 @@ def test_renderers_ignore_the_thread_decimal_context():
         ctx.rounding = ROUND_FLOOR
         ctx.traps[Inexact] = ctx.traps[Rounded] = True
         got = render()
-    assert got == want
-    assert [x.as_tuple() for x in got[2:4]] == [x.as_tuple() for x in want[2:4]]
+    assert_same(got, want)
+
+    # a new Context copies each field it is not given from DefaultContext;
+    # this thread's own context already exists (localcontext above read
+    # it), so the edit reaches only Contexts built while it lasts
+    default = decimal.DefaultContext
+    saved = (default.traps.copy(), default.Emin, default.Emax, default.clamp)
+    try:
+        default.traps[Inexact] = default.traps[Rounded] = True
+        default.Emin, default.Emax, default.clamp = -5, 5, 1
+        got = render()
+    finally:
+        default.traps, default.Emin, default.Emax, default.clamp = saved
+    assert_same(got, want)
 
 
 def test_asymptotic_check_grid_validation():

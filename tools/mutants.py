@@ -72,6 +72,8 @@ MUTANTS = [
      "r != 0 or m * m != y", "False"),
     ("sqrt remainder dropped", EXACT,
      "r != 0 or m * m != y", "m * m != y"),
+    ("decimal_context Emin inherited from DefaultContext", EXACT,
+     "Emin=-999999, ", ""),
     ("to_sig_str carry fix dropped", EXACT,
      "scaleb(q.adjusted() - sig + 1", "scaleb(d.adjusted() - sig + 1"),
     ("histogram x sign dropped", MOMENTS,
