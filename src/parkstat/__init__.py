@@ -26,9 +26,9 @@ _EXPORTS = {
     "errors": ("BudgetExceeded",),
     "exactalg": ("LinSys", "PolyX", "SymPoly", "TwoPiPow", "binomial", "solve_exact"),
     "genfun_engine": ("AreaGenFun", "JetAtOne", "area_genfun", "area_genfun_many",
-                      "jet_at_one", "jet_many", "sum_genfun"),
+                      "expectation_area", "jet_at_one", "jet_many", "sum_genfun"),
     "moment_lab": ("MomentTable", "ScaledHistogram", "convert_moments",
-                   "expectation_area", "expectation_sum", "factorial_moments",
+                   "expectation_sum", "factorial_moments",
                    "moment_table", "p_prime_closed", "scaled_histogram",
                    "stirling2", "w_value"),
     "parking_core": ("area_stat", "brute_histogram", "is_a_parking", "oracle_pairs",

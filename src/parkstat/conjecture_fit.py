@@ -15,11 +15,13 @@ total degree at most 3k-1 (the re-check grid runs past the nodes, to
 shift 3k+1).
 Wright's recurrence, Lagrange inversion and the shift decomposition are
 theorems, so this is a derivation, not a fit.  It is still re-checked
-exactly, against the closed-form E_1, on the sample grid and holdout that
-the output reports (_default_points).  The re-check reads E_k from
-genfun_engine.suffix_sum at order k: the L-fold suffix sums of the Abel
-terms, a second evaluation of the table entries that the derivation reads
-through their moment sums and head terms.  The degree bounds are
+exactly, against the closed-form E_1 (genfun_engine.expectation_area), on
+the sample grid and holdout that the output reports (_default_points).  The
+re-check reads E_k from genfun_engine.suffix_sum at order k: the L-fold
+suffix sums of the Abel terms, a second evaluation of the table entries
+that the derivation reads through their moment sums and head terms.  It
+reduces A and B to polynomials in n once per shift (SymPoly.row), so each
+point costs two Horner passes of degree at most 3k-1.  The degree bounds are
 deg A = floor(3k/2), deg B = floor(3(k-1)/2) in n alone, and total degrees
 3k-1 and 3(k-1) in (n, a) (the shift direction carries degree up to 3k-2,
 e.g. the n*a^4 term in the second-moment A).  A derived pair outside the
@@ -33,9 +35,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactalg import SymPoly, TwoPiPow, binomial, interpolate, rat_str
-from .genfun_engine import shift_identity, suffix_sum
-from .moment_lab import expectation_area
+from .exactalg import SymPoly, TwoPiPow, binomial, horner, interpolate, rat_str
+from .genfun_engine import expectation_area, shift_identity, suffix_sum
 
 HOLDOUT_MARGIN = 5
 
@@ -156,11 +157,18 @@ def _moment_data(points: list[tuple[int, int]], k: int,
 
 def _first_miss(a_poly: SymPoly, b_poly: SymPoly, points: list[tuple[int, int]],
                 data: dict) -> tuple[int, int] | None:
-    """The first point where A + B*E_1 differs from E_k, if any."""
+    """The first point where A + B*E_1 differs from E_k, if any.
+
+    A and B are reduced to polynomials in n once per shift (SymPoly.row),
+    so a point costs two Horner passes.
+    """
+    rows = {}
     for n, a in points:
+        if a not in rows:
+            rows[a] = a_poly.row({"a": a}), b_poly.row({"a": a})
         ek, e1 = data[(n, a)]
-        point = {"n": n, "a": a}
-        if a_poly.eval(point) + b_poly.eval(point) * e1 != ek:
+        if (Fraction(horner(rows[a][0], n), a_poly.den)
+                + Fraction(horner(rows[a][1], n), b_poly.den) * e1 != ek):
             return (n, a)
     return None
 
@@ -183,7 +191,7 @@ def _derive(k: int, symbols: tuple[str, ...]) -> tuple[SymPoly, SymPoly]:
 
 
 def _within(poly: SymPoly, degree: int) -> bool:
-    return all(sum(exps) <= degree for exps in poly.terms)
+    return all(sum(exps) <= degree for exps in poly.nums)
 
 
 def fit_moment(k: int, general_a: bool = False,

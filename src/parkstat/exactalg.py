@@ -8,8 +8,10 @@ result.  The building blocks are:
   * PolyX                         -- dense univariate polynomial with int
                                      coefficients (trailing zeros trimmed,
                                      so the zero polynomial has none)
-  * SymPoly                       -- sparse polynomial with Fraction
-                                     coefficients over a declared symbol set
+  * SymPoly                       -- sparse polynomial with rational
+                                     coefficients over a declared symbol
+                                     set, as int numerators over one
+                                     common denominator
   * LinSys / solve_exact          -- exact rational linear solve by
                                      fraction-free elimination over the
                                      integers, back-substituted in Fractions
@@ -23,7 +25,12 @@ build their coefficients directly (PolyX from the area sweep, SymPoly from
 count_symbolic's coefficient lists and the derived moment identities), and
 the classes hold, read, evaluate, reverse and print them.  Neither adds or
 multiplies polynomials.  `interpolate` turns values at x = 1..m into
-coefficients.
+coefficients.  SymPoly has one form, integer numerators over the reduced
+common denominator, which equality and hashing compare; it makes Fractions
+only for a reader that asks for coefficients.  It has one evaluator: `row`
+fixes every symbol but the first, leaving a coefficient list in the first,
+and `horner` evaluates that list, so a caller with many points at one value
+of the other symbols reduces the polynomial once.
 
 Decimals only appear at the output boundary (quotient_decimal,
 sqrt_decimal, PI_40 for the odd Airy ratios, to_sig_str); the one other
@@ -161,33 +168,37 @@ class PolyX:
 # ---------------------------------------------------------------------------
 
 
-class SymPoly:
-    """Polynomial with Fraction coefficients in a fixed tuple of symbols.
+def horner(coeffs: Sequence, x: RatLike):
+    """sum_i coeffs[i] x^i by Horner's rule, in the type of its inputs."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
-    Terms map exponent tuples (one entry per declared symbol) to nonzero
-    coefficients; the symbol set is fixed at construction.
+
+class SymPoly:
+    """Polynomial with rational coefficients in a fixed tuple of symbols.
+
+    Held as `nums`, one nonzero integer numerator per exponent tuple (one
+    entry per declared symbol), over one denominator `den`, the lcm of the
+    reduced coefficients' denominators: a canonical form.  `terms` and the
+    readers built on it make Fractions only when called.
     """
 
-    __slots__ = ("symbols", "terms", "_common")
+    __slots__ = ("symbols", "den", "nums")
 
     def __init__(self, symbols: Sequence[str],
                  terms: Mapping[tuple[int, ...], RatLike] | None = None):
         syms = tuple(symbols)
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in (terms or {}).items():
+        for exps in terms or ():
             if len(exps) != len(syms):
                 raise ValueError(f"exponent tuple {exps} does not match symbols {syms}")
-            c = Fraction(c)
-            if c:
-                clean[tuple(exps)] = c
+        clean = {tuple(exps): Fraction(c) for exps, c in (terms or {}).items() if c}
         den = math.lcm(*(c.denominator for c in clean.values()))
         object.__setattr__(self, "symbols", syms)
-        object.__setattr__(self, "terms", clean)
-        # for eval: the denominator, each symbol's top power, and the
-        # integer numerators over that denominator
-        object.__setattr__(self, "_common", (
-            den, [max((e[i] for e in clean), default=0) for i in range(len(syms))],
-            [(exps, c.numerator * (den // c.denominator)) for exps, c in clean.items()]))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", {exps: c.numerator * (den // c.denominator)
+                                          for exps, c in clean.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("SymPoly is immutable")
@@ -197,47 +208,47 @@ class SymPoly:
         """Dense coefficient list (index = exponent) -> one-symbol SymPoly."""
         return cls((symbol,), {(m,): c for m, c in enumerate(coeffs)})
 
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """Exponent tuple -> nonzero coefficient, as a new dict."""
+        return {exps: Fraction(c, self.den) for exps, c in self.nums.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
-    def eval(self, point: Mapping[str, RatLike]) -> Fraction:
-        """Value at `point`: one sum over the common denominator.
-
-        At integer points every term is an integer product of cached
-        powers, and only the final quotient is a Fraction.
-        """
-        missing = [s for s in self.symbols if s not in point]
+    def row(self, point: Mapping[str, RatLike]) -> list:
+        """The polynomial in the first symbol left when every other symbol
+        takes its value at `point`: its coefficients lowest power first, as
+        numerators over `den` (integers at an integer point)."""
+        missing = [s for s in self.symbols[1:] if s not in point]
         if missing:
             raise ValueError(f"missing assignment for symbols {missing}")
-        den, tops, scaled = self._common
-        powers = []
-        for s, top in zip(self.symbols, tops):
-            row = [1]
-            for _ in range(top):
-                row.append(row[-1] * point[s])
-            powers.append(row)
-        total = 0
-        for exps, c in scaled:
-            for row, e in zip(powers, exps):
-                c *= row[e]
-            total += c
-        return Fraction(total, den)
+        out = [0] * (1 + max((exps[0] for exps in self.nums), default=-1))
+        for exps, c in self.nums.items():
+            for s, e in zip(self.symbols[1:], exps[1:]):
+                c *= point[s] ** e
+            out[exps[0]] += c
+        return out
+
+    def eval(self, point: Mapping[str, RatLike]) -> Fraction:
+        """Value at `point`: row, then Horner's rule in the first symbol."""
+        if self.symbols[0] not in point:  # row checks the others
+            raise ValueError(f"missing assignment for symbols {list(self.symbols[:1])}")
+        return Fraction(horner(self.row(point), point[self.symbols[0]]), self.den)
 
     def degree_in(self, symbol: str) -> int | None:
-        if not self.terms:
-            return None
-        i = self.symbols.index(symbol)
-        return max(e[i] for e in self.terms)
+        """None for the zero polynomial."""
+        return max((e[self.symbols.index(symbol)] for e in self.nums), default=None)
 
     def coeff_of(self, exps: tuple[int, ...]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self.nums.get(tuple(exps), 0), self.den)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SymPoly) and self.symbols == other.symbols
-                and self.terms == other.terms)
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self) -> int:
-        return hash((self.symbols, frozenset(self.terms.items())))
+        return hash((self.symbols, self.den, frozenset(self.nums.items())))
 
     def ordered_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """(exponents, coefficient) pairs in output order: by descending total
@@ -251,7 +262,7 @@ class SymPoly:
         star=False glues coefficients to monomials ("6a^2"); star=True writes
         an explicit "*" ("6*a^2").
         """
-        if not self.terms:
+        if not self.nums:
             return "0"
         sep = "*" if star else ""
         parts = []

@@ -55,12 +55,13 @@ add up to the Abel-type sum (Riordan, Combinatorial Identities, 1968)
     S = sum_{l=0..n} n^{falling l} b^{n-l},
 
 at a = 1 equal to (n+1)^n Q(n+1) with Ramanujan's Q (Knuth, TAOCP vol. 1,
-1.2.11.3).  Every closed form in moment_lab is a rational function of S
-and b.  abel_sum computes S by binary splitting (Haible & Papanikolaou,
-"Fast multiprecision evaluation of series of rational numbers", ANTS
-1998): consecutive terms have the ratio (n-l+1)/b, so over l in [lo, hi)
-the pair (P, T), P = prod (n-l+1) and T = sum_l prod_{lo..l} (n-j+1)
-b^{hi-1-l}, starts from the leaf (n-l+1, n-l+1), and halves combine as
+1.2.11.3).  The expectation E_1 = n(a-2)/2 + (S - b^n)/(2 b^(n-1))
+(expectation_area) and every closed form in moment_lab are rational
+functions of S and b.  abel_sum computes S by binary splitting (Haible &
+Papanikolaou, "Fast multiprecision evaluation of series of rational
+numbers", ANTS 1998): consecutive terms have the ratio (n-l+1)/b, so over
+l in [lo, hi) the pair (P, T), P = prod (n-l+1) and
+T = sum_l prod_{lo..l} (n-j+1) b^{hi-1-l}, starts from the leaf (n-l+1, n-l+1), and halves combine as
 (P1 P2, T1 b^{hi-mid} + P1 T2).  Then S = b^n + T over [1, n+1), and
 S = 1 at n = 0.  The products are of balanced size, so CPython's Karatsuba
 makes the sum sub-quadratic in n.
@@ -92,8 +93,8 @@ which needs len(p) <= L+2:
 tests/test_genfun_engine.py::test_shift_table_entries_have_two_head_terms
 checks every entry up to t = 16 at shifts 1, 2, 3, 7, 40 and 300, and the
 fits' re-check against suffix_sum fails on an identity that drops a head.
-moment_lab's E_1 gives S = b^{n-1} (2 E_1 - n(a-2) + b), and the count is
-a b^{n-1}, so with alpha' = alpha - e_0 - e_1 n/b
+expectation_area's E_1 gives S = b^{n-1} (2 E_1 - n(a-2) + b), and the
+count is a b^{n-1}, so with alpha' = alpha - e_0 - e_1 n/b
 
     A_k = c (alpha' b + beta (b - n(a-2))),  B_k = 2 c beta,  c = k!/(a d (L-1)!).
 """
@@ -107,7 +108,7 @@ from typing import Iterable, NamedTuple
 
 from . import backend
 from .errors import DEFAULT_BUDGET, BudgetExceeded
-from .exactalg import PolyX, binomial, binomial_rows, falling_factorial, int_str
+from .exactalg import PolyX, binomial, binomial_rows, falling_factorial, horner, int_str
 
 
 class AreaGenFun(NamedTuple):
@@ -384,8 +385,7 @@ def jet_many(targets: Iterable[tuple[int, int]], order: int) -> dict[tuple[int, 
         values = [a * b ** (n - 1) if n else 1]
         bn, s = (b ** n, abel_sum(n, b)) if top else (0, 0)
         for t, (alpha, beta, heads, den) in enumerate(parts.get(a, [])[:top], 1):
-            acc = (sum(c * n ** i for i, c in enumerate(alpha)) * bn
-                   + sum(c * n ** i for i, c in enumerate(beta)) * s
+            acc = (horner(alpha, n) * bn + horner(beta, n) * s
                    - sum(e * falling_factorial(n, l) * bn // b ** l  # e_l g_l
                          for l, e in enumerate(heads[:n + 1])))
             values.append(acc // den * math.factorial(t))
@@ -411,6 +411,21 @@ def abel_sum(n: int, b: int) -> int:
         return p1 * p2, t1 * b ** (hi - mid) + p1 * t2
 
     return b ** n + split(1, n + 1)[1] if n else 1
+
+
+def _abel_tail(n: int, a: int) -> tuple[int, int]:
+    """(S - b^n, b^(n-1)) with b = a+n, S = abel_sum(n, b)."""
+    if n < 1 or a < 1:
+        raise ValueError("need n >= 1 and a >= 1")
+    power = (a + n) ** (n - 1)
+    return abel_sum(n, a + n) - (a + n) * power, power
+
+
+def expectation_area(n: int, a: int = 1) -> Fraction:
+    """Exact expectation of the area statistic on a-parking functions,
+    E_1 = n(a-2)/2 + (S - b^n)/(2 b^(n-1)) (module docstring)."""
+    tail, power = _abel_tail(n, a)
+    return Fraction(n * (a - 2) * power + tail, 2 * power)
 
 
 def _moment_sum(weights: list[int], x: list[int], y: list[int], a: int) -> list[int]:

@@ -1,6 +1,6 @@
 """Exact expectations, factorial moments, conversions, scaled histograms.
 
-The closed forms implemented here, with b = a+n and the Abel-type sum
+The closed forms, with b = a+n and the Abel-type sum
 S = sum_{l=0..n} n^{falling l} b^{n-l} (genfun_engine.abel_sum):
 
     W_n               = (n!/n^(n-1)) sum_{k=0..n-2} n^k/k!
@@ -9,10 +9,13 @@ S = sum_{l=0..n} n^{falling l} b^{n-l} (genfun_engine.abel_sum):
     P'(n, a)(1)       = a (n(a+n+1) b^(n-1) - S + b^n)/2
 
 so that E_area(n,1) = -n/2 + W_(n+1)/2 and E_sum + E_area = n(2a+n-1)/2.
-The expectations and P' take S from one binary-split abel_sum call, which
-is sub-quadratic in n.  W_n keeps its own Riordan-Sloane sum, so the
-E_area(n,1) = -n/2 + W_(n+1)/2 check stays one between two independent
-formulas rather than an identity true by construction.
+E_area lives in genfun_engine (expectation_area, with _abel_tail), next to
+the moment identities built around it, and is imported here; the other
+three are defined here.  The expectations and P' take S from one
+binary-split abel_sum call, which is sub-quadratic in n.  W_n keeps its
+own Riordan-Sloane sum, so the E_area(n,1) = -n/2 + W_(n+1)/2 check stays
+one between two independent formulas rather than an identity true by
+construction.
 The k-th factorial moment is E_k(n,a) = Q^(k)(n,a)(1) / (a(a+n)^(n-1)),
 taken from the jet engine; raw moments follow via Stirling numbers of the
 second kind, central moments by binomial expansion about the mean, and
@@ -35,7 +38,7 @@ from typing import NamedTuple
 
 from .exactalg import PolyX, binomial, int_str, rat_str, sqrt_decimal, to_sig_str
 from .errors import DEFAULT_BUDGET
-from .genfun_engine import abel_sum, area_genfun, jet_at_one
+from .genfun_engine import _abel_tail, area_genfun, expectation_area, jet_at_one
 
 
 def w_value(n: int) -> Fraction:
@@ -52,20 +55,6 @@ def w_value(n: int) -> Fraction:
         p *= n
         u = k * u + p
     return Fraction((n - 1) * u, n ** (n - 2))
-
-
-def _abel_tail(n: int, a: int) -> tuple[int, int]:
-    """(S - b^n, b^(n-1)) with b = a+n, S = abel_sum(n, b)."""
-    if n < 1 or a < 1:
-        raise ValueError("need n >= 1 and a >= 1")
-    power = (a + n) ** (n - 1)
-    return abel_sum(n, a + n) - (a + n) * power, power
-
-
-def expectation_area(n: int, a: int = 1) -> Fraction:
-    """Exact expectation of the area statistic on a-parking functions."""
-    tail, power = _abel_tail(n, a)
-    return Fraction(n * (a - 2) * power + tail, 2 * power)
 
 
 def expectation_sum(n: int, a: int = 1) -> Fraction:

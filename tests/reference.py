@@ -11,7 +11,8 @@ binomial theorem.
 
 dense_fit is the moment identities' reference: A_k and B_k by
 undetermined coefficients, an exact solve on the derivation's own re-check
-grid.
+grid, checked on its holdout term by term in Fractions rather than by
+SymPoly's evaluator.
 
 gauss_jordan is the exact solve's reference: Fraction Gauss-Jordan
 elimination, where solve_exact eliminates fraction-free in integers below
@@ -61,8 +62,7 @@ from fractions import Fraction
 from operator import mul
 
 from parkstat.airy import airy_moments
-from parkstat.conjecture_fit import (MomentAnsatz, _default_points,
-                                     _first_miss, _moment_data)
+from parkstat.conjecture_fit import MomentAnsatz, _default_points, _moment_data
 from parkstat.exactalg import (Inconsistent, LinSys, SolveResult, SymPoly,
                                Underdetermined, UniqueSolution, binomial,
                                binomial_rows, solve_exact, to_sig_str)
@@ -213,7 +213,8 @@ def dense_fit(k: int, general_a: bool) -> tuple[SymPoly, SymPoly]:
 
     One unknown per monomial of A and B under the default degree bounds,
     one row per sample of the default grid (HOLDOUT_MARGIN more rows than
-    unknowns), solved exactly and then verified on the holdout points.
+    unknowns), solved exactly and then verified on the holdout points, term
+    by term in Fractions, so it shares no evaluator with the fits' re-check.
     """
     ansatz = MomentAnsatz.default(k, general_a)
     basis_a = monomials(ansatz.symbols, ansatz.deg_a)
@@ -222,19 +223,24 @@ def dense_fit(k: int, general_a: bool) -> tuple[SymPoly, SymPoly]:
     samples, holdout = _default_points(ansatz)
     data = _moment_data(samples + holdout, k)
     na = len(basis_a)
-    system = LinSys(ansatz.unknowns)
-    for n, a in samples:
+
+    def equation(n, a):  # (coefficients of the unknowns, E_k) at one point
         ek, e1 = data[(n, a)]
         point = (n, a)[:len(ansatz.symbols)]
         powers = [math.prod(v ** e for v, e in zip(point, exps))
                   for exps in basis_a + basis_b]
-        system.add_row(powers[:na] + [p * e1 for p in powers[na:]], ek)
+        return powers[:na] + [p * e1 for p in powers[na:]], ek
+
+    system = LinSys(ansatz.unknowns)
+    for n, a in samples:
+        system.add_row(*equation(n, a))
     sol = solve_exact(system)
     assert isinstance(sol, UniqueSolution), sol
-    a_poly = SymPoly(ansatz.symbols, dict(zip(basis_a, sol.values[:na])))
-    b_poly = SymPoly(ansatz.symbols, dict(zip(basis_b, sol.values[na:])))
-    assert _first_miss(a_poly, b_poly, holdout, data) is None
-    return a_poly, b_poly
+    for n, a in holdout:
+        coeffs, ek = equation(n, a)
+        assert sum(c * x for c, x in zip(coeffs, sol.values)) == ek, (n, a)
+    return (SymPoly(ansatz.symbols, dict(zip(basis_a, sol.values[:na]))),
+            SymPoly(ansatz.symbols, dict(zip(basis_b, sol.values[na:]))))
 
 
 def gauss_jordan(sys: LinSys) -> SolveResult:

@@ -626,6 +626,12 @@ def test_cli_cold_start_imports_no_dataclasses_and_every_layer():
     assert count["parkstat.counting_engine"]
     unused = ("airy", "conjecture_fit", "moment_lab", "parking_core")
     assert [layer for layer in unused if count[f"parkstat.{layer}"]] == []
+    # fit takes E_1 from genfun_engine, next to the identities it checks
+    fit = modules("import sys, parkstat.cli;"
+                  " parkstat.cli.main(['fit', '--k', '2', '--format', 'json'])")
+    assert fit["parkstat.conjecture_fit"]
+    unused = ("airy", "counting_engine", "moment_lab", "parking_core")
+    assert [layer for layer in unused if fit[f"parkstat.{layer}"]] == []
 
 
 def test_traced_fit_matches_the_untraced_cli(tmp_path):

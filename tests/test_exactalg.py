@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from parkstat.exactalg import (PI_40, Inconsistent, LinSys, PolyX, SymPoly, TwoPiPow,
                                Underdetermined, UniqueSolution, binomial, binomial_rows,
-                               int_str, interpolate, quotient_decimal, rat_str,
+                               horner, int_str, interpolate, quotient_decimal, rat_str,
                                solve_exact, sqrt_decimal, to_sig_str)
 from reference import PI_110, derivatives_at_one, gauss_jordan
 
@@ -257,7 +257,21 @@ POINTS = st.one_of(st.integers(-30, 30), st.fractions(max_denominator=9))
 def test_sympoly_eval_matches_term_by_term_sum(terms, n, a):
     want = sum((c * Fraction(n) ** i * Fraction(a) ** j
                 for (i, j), c in terms.items()), Fraction(0))
-    assert SymPoly(("n", "a"), terms).eval({"n": n, "a": a}) == want
+    poly = SymPoly(("n", "a"), terms)
+    assert poly.eval({"n": n, "a": a}) == want
+    # the row at a, a polynomial in n over den, evaluated by Horner's rule
+    assert Fraction(horner(poly.row({"a": a}), n), poly.den) == want
+
+
+def test_sympoly_is_canonical():
+    # one form per polynomial: reduced coefficients over one denominator,
+    # zero coefficients dropped
+    p = SymPoly(("n",), {(1,): Fraction(2, 4), (2,): 0})
+    q = SymPoly(("n",), {(1,): Fraction(1, 2)})
+    assert p == q and hash(p) == hash(q)
+    assert p.terms == q.terms == {(1,): Fraction(1, 2)}
+    assert (p.den, p.nums) == (2, {(1,): 1})
+    assert p != SymPoly(("a",), {(1,): Fraction(1, 2)})
 
 
 @settings(max_examples=60, deadline=None)

@@ -80,6 +80,10 @@ MUTANTS = [
      "x.copy_negate() if d < 0 else x", "x"),
     ("int_str capped by the int -> str limit", EXACT,
      "return str(Decimal(x))", "return str(x)"),
+    ("Horner's rule from the constant term up", EXACT,
+     "for c in reversed(coeffs):", "for c in coeffs:"),
+    ("SymPoly.row ignores the fixed symbol's exponent", EXACT,
+     "c *= point[s] ** e", "c *= point[s]"),
     ("solve_exact elimination sign", EXACT,
      "pc * x - f * y", "pc * x + f * y"),
     ("solve_exact back-substitution offset", EXACT,
