@@ -216,31 +216,48 @@ def cmd_verify(args: argparse.Namespace) -> int:
         None if ok else f"verify: failing invariants: {failing}"))
 
 
-def positive_int(text: str) -> int:
-    """argparse type of the flags whose values must be >= 1."""
+def _int_in(text: str, low: int | None, high: int | None) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"invalid value: {value} (must be >= 1)")
+    if low is not None and value < low:
+        raise argparse.ArgumentTypeError(f"invalid value: {value} (must be >= {low})")
+    if high is not None and value > high:
+        raise argparse.ArgumentTypeError(f"invalid value: {value} (must be <= {high})")
     return value
 
 
+def positive_int(text: str) -> int:
+    """argparse type of the flags whose values must be >= 1."""
+    return _int_in(text, 1, None)
+
+
+def size(text: str) -> int:
+    """argparse type of the sizes --n and --k: at most sys.maxsize, the
+    longest range or list the engines can build."""
+    return _int_in(text, None, sys.maxsize)
+
+
+def positive_size(text: str) -> int:
+    """argparse type of --n-max: a size >= 1."""
+    return _int_in(text, 1, sys.maxsize)
+
+
 def int_list(text: str) -> tuple[int, ...]:
-    """argparse type of --grid: comma-separated integers, empty for none."""
-    return tuple(int(x) for x in text.split(",")) if text else ()
+    """argparse type of --grid: comma-separated sizes, empty for none."""
+    return tuple(size(x) for x in text.split(",")) if text else ()
 
 
 # every flag a command can take, as argparse keyword arguments
 _FLAGS = {
-    "n": {"type": int, "default": 0},
+    "n": {"type": size, "default": 0},
     "a": {"type": int, "default": 1},
-    "k": {"type": int, "default": 2},
+    "k": {"type": size, "default": 2},
     "grid": {"type": int_list, "default": ()},
     "budget": {"type": positive_int, "default": DEFAULT_BUDGET},
     "precision": {"type": positive_int, "default": 15},
     "symbolic": {"action": "store_true",
                  "help": "print the counting polynomial in the shift a"},
     "general-a": {"action": "store_true", "help": "fit polynomials in both n and a"},
-    "n-max": {"type": positive_int, "default": None,
+    "n-max": {"type": positive_size, "default": None,
               "help": "extend the sample grid up to this n"},
     "scaled": {"action": "store_true",
                "help": "add scaled coordinate and density columns"},

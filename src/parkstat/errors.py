@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 # the default cap of every resource guard: brute-force vectors for the
-# oracle, live coefficient slots for the polynomial sweep
+# oracle, live coefficient slots for the polynomial sweep (a closed form in
+# n and a, checked in O(1) before the sweep starts)
 DEFAULT_BUDGET = 10**7
 
 

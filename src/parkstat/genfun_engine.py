@@ -15,7 +15,9 @@ Two engines compute Q, each for its own consumers:
   * area_genfun is the only engine that gives every coefficient of Q.  It
     sweeps anti-diagonals of the state triangle with this recurrence,
     retiring a diagonal as soon as the sweep passes it (memory grows with
-    n^3).  genfun, hist and verify's oracle suite read it;
+    n^3).  Its resource guard is a closed form of the live coefficient
+    slots (_check_cell_budget), so an oversized request is refused in
+    O(1), before any sweep.  genfun, hist and verify's oracle suite read it;
   * jet_many carries only (Q(1), Q'(1), ..., Q^(K)(1)) per state, which is
     what makes n in the hundreds cheap.  count, moments, fit and airy read
     it.
@@ -150,26 +152,22 @@ class JetAtOne(NamedTuple):
     values: tuple[int, ...]
 
 
-def _diagonal_cells(s: int, n_cap: int) -> int:
-    # coefficient slots held by the full-polynomial diagonal s
-    cells = 0
-    for n in range(0, min(s, n_cap) + 1):
-        a = s - n
-        if n == 0:
-            cells += 1
-        elif a >= 1:
-            cells += n * (2 * a + n - 3) // 2 + 1
-    return cells
-
-
 def _check_cell_budget(targets: list[tuple[int, int]], n_cap: int, s_max: int,
                        budget: int) -> None:
-    peak = 0
-    prev = 1
-    for s in range(1, s_max + 1):
-        cur = _diagonal_cells(s, n_cap)
-        peak = max(peak, prev + cur)
-        prev = cur
+    """Raise BudgetExceeded if the sweep would hold more than `budget` slots.
+
+    Diagonal s holds one slot for Q(0,s) and n(2s-n-3)/2 + 1 coefficients
+    of Q(n,s-n) for n = 1..M, M = min(s-1, n_cap): in closed form
+    cells(s) = 1 + M + ((2s-3) M(M+1)/2 - M(M+1)(2M+1)/6)/2, every term
+    even before the halving, and cells(0) = 1 (M = 0).  Each term grows
+    with s, so the two live diagonals peak at s_max-1 and s_max; the
+    harvested polynomials come on top.  O(1) in n_cap and s_max.
+    """
+    def cells(s: int) -> int:
+        m = min(max(s - 1, 0), n_cap)
+        return 1 + m + ((2 * s - 3) * m * (m + 1) // 2 - m * (m + 1) * (2 * m + 1) // 6) // 2
+
+    peak = cells(s_max - 1) + cells(s_max) if s_max else 0
     harvest = sum(n * (2 * a + n - 3) // 2 + 1
                   for n, a in targets if n >= 1 and a >= 1)
     if peak + harvest > budget:

@@ -47,6 +47,10 @@ S(j,k) = S(j-1,k-1) + k S(j-1,k), where moment_lab uses the explicit sum,
 and the raw and central moments by Fraction arithmetic term by term, where
 moment_lab works in integers over one common denominator.
 
+sweep_cells is the polynomial engine's resource guard reference: it counts
+the live coefficient slots diagonal by diagonal, as the sweep holds them,
+where genfun_engine takes the peak from one closed form in n and a.
+
 fraction_ratio_rows and fraction_hist_rows are the decimal rendering's
 reference.  Each Airy ratio goes through a reduced Fraction before its one
 decimal division, where airy divides the unreduced integers, and pi comes
@@ -276,6 +280,35 @@ def gauss_jordan(sys: LinSys) -> SolveResult:
     if free:
         return Underdetermined(free_column=free[0])
     return UniqueSolution(values=tuple(row[w] for row in mat[:w]))
+
+
+def diagonal_cells(s: int, n_cap: int) -> int:
+    """Coefficient slots held by diagonal s of the polynomial sweep, state
+    by state: one for Q(0,s), deg Q(n,s-n) + 1 for each n <= n_cap with
+    s-n >= 1, and none for the zero states Q(n,0), n >= 1."""
+    cells = 0
+    for n in range(0, min(s, n_cap) + 1):
+        a = s - n
+        if n == 0:
+            cells += 1
+        elif a >= 1:
+            cells += n * (2 * a + n - 3) // 2 + 1
+    return cells
+
+
+def sweep_cells(targets) -> int:
+    """The slots the polynomial sweep over `targets` needs: the most that
+    two adjacent diagonals hold, scanned over every diagonal, plus the
+    harvested polynomials."""
+    targets = set(targets)
+    n_cap = max(n for n, _ in targets)
+    s_max = max(n + a for n, a in targets)
+    peak, prev = 0, 1
+    for s in range(1, s_max + 1):
+        cur = diagonal_cells(s, n_cap)
+        peak, prev = max(peak, prev + cur), cur
+    return peak + sum(n * (2 * a + n - 3) // 2 + 1
+                      for n, a in targets if n >= 1 and a >= 1)
 
 
 def stirling2_rows(j_max: int) -> list[list[int]]:

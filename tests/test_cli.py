@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -197,6 +198,20 @@ def test_exit_code_resource_guard(capsys):
     assert "budget" in err
 
 
+SLOTS_AT_ONE_MILLION = 666666166668500002
+
+
+@pytest.mark.parametrize("argv", ["genfun --n 1000000", "hist --n 1000000",
+                                  "hist --n 1000000 --scaled"])
+def test_polynomial_guard_refuses_a_huge_n_at_once(argv):
+    start = time.perf_counter()
+    code, out, err = outcome(argv.split())
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == (f"{argv.split()[0]}: budget exceeded: generating-function coefficient "
+                   f"slots needs {SLOTS_AT_ONE_MILLION}, cap is 10000000\n")
+
+
 def test_exit_code_on_invalid_value(capsys):
     code, _, err = run_cli(capsys, "moments", "--n", "0")
     assert code == 2
@@ -254,8 +269,12 @@ def small_argvs(draw):
     small = st.integers(-2, 6)
     argv = [command, "--format", draw(st.sampled_from(["csv", "json", "text"]))]
     if "n" in flags:
-        # count --symbolic takes milliseconds at n = 60
-        argv += ["--n", str(draw(st.integers(-2, 60 if symbolic else 25)))]
+        # count --symbolic takes milliseconds at n = 60; genfun and hist
+        # refuse every n from 10^6 up at once, past sys.maxsize by exit 2
+        n = st.integers(-2, 60 if symbolic else 25)
+        if command in ("genfun", "hist"):
+            n = st.one_of(n, st.integers(10**6, 10**23))
+        argv += ["--n", str(draw(n))]
     if "a" in flags:
         argv += ["--a", str(draw(small))]
     k = draw(small)
@@ -409,6 +428,31 @@ GOLDEN = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "genfun: budget exceeded: generating-function coefficient slots needs "
      "82177, cap is 100\n"),
+    # sizes past sys.maxsize are usage errors, not an OverflowError
+    ("count --n 100000000000000000000000", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "usage: parkstat count [-h] [--n N] [--a A] [--symbolic] [--threads THREADS]\n"
+     "                      [--format {csv,json,text}] [--out OUT]\n"
+     "parkstat count: error: argument --n: invalid value: 100000000000000000000000 "
+     "(must be <= 9223372036854775807)\n"),
+    ("count --symbolic --n 100000000000000000000000", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "usage: parkstat count [-h] [--n N] [--a A] [--symbolic] [--threads THREADS]\n"
+     "                      [--format {csv,json,text}] [--out OUT]\n"
+     "parkstat count: error: argument --n: invalid value: 100000000000000000000000 "
+     "(must be <= 9223372036854775807)\n"),
+    ("moments --n 5 --k 100000000000000000000000", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "usage: parkstat moments [-h] [--n N] [--a A] [--k K] [--threads THREADS]\n"
+     "                        [--format {csv,json,text}] [--out OUT]\n"
+     "parkstat moments: error: argument --k: invalid value: 100000000000000000000000 "
+     "(must be <= 9223372036854775807)\n"),
+    ("fit --k 100000000000000000000000", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "usage: parkstat fit [-h] [--k K] [--general-a] [--n-max N_MAX]\n"
+     "                    [--threads THREADS] [--format {csv,json,text}] [--out OUT]\n"
+     "parkstat fit: error: argument --k: invalid value: 100000000000000000000000 "
+     "(must be <= 9223372036854775807)\n"),
     ("airy --k 2 --grid 9,25", 4,
      "52497126adff52f76f14c2f11d33c98c0f30cbcd962929eb1e4a2059ffb175ac",
      "airy: convergence check failed for k in [1, 2]\n"),
@@ -420,7 +464,8 @@ GOLDEN = [
 
 
 @pytest.mark.parametrize("argv,code,digest,err", GOLDEN, ids=[g[0] for g in GOLDEN])
-def test_cli_output_bytes_are_pinned(argv, code, digest, err):
+def test_cli_output_bytes_are_pinned(argv, code, digest, err, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to fit
     got_code, got_out, got_err = outcome(argv.split())
     assert (got_code, got_err) == (code, err)
     assert hashlib.sha256(got_out.encode()).hexdigest() == digest

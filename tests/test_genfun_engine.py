@@ -20,8 +20,9 @@ from parkstat.genfun_engine import (_sweep, abel_sum, area_genfun,
                                     area_genfun_many, jet_at_one, jet_many,
                                     suffix_sum, sum_genfun)
 from parkstat.moment_lab import expectation_area, moment_table
-from parkstat.parking_core import brute_histogram, max_area
-from reference import convolution_jets, derivatives_at_one, reference_jets
+from parkstat.parking_core import brute_histogram, max_area, oracle_pairs
+from reference import (convolution_jets, derivatives_at_one, diagonal_cells,
+                       reference_jets, sweep_cells)
 
 
 def test_area_genfun_examples():
@@ -356,6 +357,44 @@ def test_jets_and_moments_never_run_the_suffix_sums(monkeypatch):
 def test_genfun_budget_guard():
     with pytest.raises(BudgetExceeded):
         area_genfun(500, 1, budget=10**5)
+    # the guard is O(1) in n, so a length no sweep could reach is refused
+    with pytest.raises(BudgetExceeded):
+        area_genfun(10**23, 1)
+
+
+def required_cells(targets) -> int:
+    """The slots the guard predicts for `targets` (a budget of -1 trips on
+    every request)."""
+    with pytest.raises(BudgetExceeded) as exc:
+        area_genfun_many(targets, budget=-1)
+    return exc.value.required
+
+
+def test_cell_guard_closed_form_matches_the_diagonal_scan():
+    # on each side of s - 1 = n_cap the count of a diagonal is a polynomial
+    # of degree at most 3 in s and n_cap, so this grid covers every size;
+    # (0, 0) is s_max = 0, and n_cap = 0 is the shift-only column
+    for n_cap in range(41):
+        for s_max in range(n_cap, n_cap + 61):
+            targets = [(n_cap, s_max - n_cap)]
+            assert required_cells(targets) == sweep_cells(targets), targets
+    pairs = oracle_pairs(10**6)
+    assert required_cells(pairs) == sweep_cells(pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 30)), min_size=1, max_size=6))
+def test_cell_guard_on_target_sets(targets):
+    assert required_cells(targets) == sweep_cells(targets)
+
+
+def test_cell_guard_at_one_million_sums_the_last_two_diagonals():
+    # every diagonal holds at least as many slots as the one before, so the
+    # scan's peak is its last pair, here counted term by term
+    n = 10**6
+    harvest = n * (n - 1) // 2 + 1
+    assert required_cells([(n, 1)]) == (diagonal_cells(n, n) + diagonal_cells(n + 1, n)
+                                        + harvest) == 666666166668500002
 
 
 def test_serialization():

@@ -43,6 +43,8 @@ MUTANTS = [
      "enumerate(heads[:n + 1])", "enumerate(heads[:1])"),
     ("suffix_sum starts one term low", ENGINE,
      "for l in range(n, -1, -1):", "for l in range(n - 1, -1, -1):"),
+    ("cell guard counts the zero state Q(s,0)", ENGINE,
+     "m = min(max(s - 1, 0), n_cap)", "m = min(max(s, 0), n_cap)"),
     ("_moment_sum sign", ENGINE,
      "z = [-(2 * r + 2 + a) * c for c in y]", "z = [(2 * r + 2 + a) * c for c in y]"),
     ("shift_identity e_1 sign", ENGINE,
