@@ -68,18 +68,18 @@ T = sum_l prod_{lo..l} (n-j+1) b^{hi-1-l}, starts from the leaf (n-l+1, n-l+1), 
 S = 1 at n = 0.  The products are of balanced size, so CPython's Karatsuba
 makes the sum sub-quadratic in n.
 
-The same terms give jet_many's evaluation and the moment identities
-E_k = A_k + B_k E_1 (shift_identity; conjecture_fit interpolates them in
-a).  Entry k of the shift table of a is (L, p, d), and Taylor coefficient
-k of Q(n,a) at x = 1 is sum_j p_j S_L(j)/d, where S_L(j) is the L-fold
-suffix sum at j of g_l (suffix_sum).  The weight of g_l there, times
-(L-1)!, is the polynomial
+Each moment identity E_k = A_k + B_k E_1 is a sum over the same terms;
+jet_many evaluates it, shift_identity returns it and conjecture_fit
+interpolates it in a.  Entry k of the shift table of a is (L, p, d), and
+Taylor coefficient k of Q(n,a) at x = 1 is sum_j p_j S_L(j)/d, where
+S_L(j) is the L-fold suffix sum at j of g_l (suffix_sum).  The weight of
+g_l there, times (L-1)!, is the polynomial
 
     (l-j+L-1)^{falling L-1} = sum_r C(L-1, r) (L-1-j)^{falling L-1-r} l^{falling r}
 
 (Vandermonde), except at the head: the suffix sum starts at l = j, so
 e_l = sum_{j>l} p_j (l-j+L-1)^{falling L-1} comes off g_l.  The product
-vanishes for 0 < j-l < L, so only l < len(p) - L carries a head.  The
+vanishes for 0 < j-l < L, so only l < len(p) - L carries a head term.  The
 moment sums G_r = sum_l l^{falling r} g_l obey, by (n-l) g_l = b g_{l+1},
 
     G_0 = S,  G_1 = b^{n+1} - a S,  G_{r+1} = -(2r+a) G_r + r(n+1-r) G_{r-1},
@@ -89,16 +89,50 @@ n (_moment_sum).  Summing the weights gives the coefficient as
 
     (alpha b^n + beta S - sum_l e_l g_l) / (d (L-1)!),
 
-with alpha = sum_r w_r alpha_r and beta = sum_r w_r beta_r (_lagrange_parts).
-jet_many subtracts every head term.  shift_identity reads e_0 and e_1 only,
-which needs len(p) <= L+2:
-tests/test_genfun_engine.py::test_shift_table_entries_have_two_head_terms
-checks every entry up to t = 16 at shifts 1, 2, 3, 7, 40 and 300, and the
-fits' re-check against suffix_sum fails on an identity that drops a head.
-expectation_area's E_1 gives S = b^{n-1} (2 E_1 - n(a-2) + b), and the
-count is a b^{n-1}, so with alpha' = alpha - e_0 - e_1 n/b
+with alpha = sum_r w_r alpha_r and beta = sum_r w_r beta_r.
 
-    A_k = c (alpha' b + beta (b - n(a-2))),  B_k = 2 c beta,  c = k!/(a d (L-1)!).
+Every entry has len(p) <= L+2, so the head terms are e_0 g_0 + e_1 g_1.
+Proof: let ord(p/(1-T)^L) = deg p - L, the order at T = infinity, and
+call c the leading coefficient of f when f ~ c T^ord(f) there.
+
+ 1. theta f = T(p'(1-T) + Lp)/(1-T)^(L+2) has ord <= ord f - 1, with
+    leading coefficient -ord(f) c at ord f - 1; D = T d/dT keeps ord and
+    multiplies c by ord(f).  Products add ord; sums do not raise it.
+ 2. Read Wright's recurrence (_wright) at T = infinity.  theta W_{-1} = T
+    and theta W_0 = T^3/(2(1-T)^2) have ord 1.  If ord theta W_i <= 1 for
+    i <= k, the right side has ord <= 2; on a leading term of ord m > 2,
+    2(k+1+D) would give 2(k+1+m) c T^m != 0, so ord W_{k+1} <= 2 and
+    ord theta W_{k+1} <= 1.  Let l_k be the T^1 coefficient of theta W_k,
+    so W_k (k >= 1) has T^2 coefficient -l_k/2.  The T^2 coefficients
+    give, since theta^2 W_k and theta W_k have ord <= 1,
+
+        -(k+3) l_{k+1} = k l_k + sum_{i+j=k; i,j>=0} l_i l_j,
+        l_{-1} = 1,  l_0 = 1/2.
+
+ 3. These l_k are the Gregory coefficients, g(y) = sum_{k>=-1} l_k y^(k+1)
+    = y/log(1+y): the recurrence says y(1+y) g' = (1+y) g - g^2 with
+    g(0) = 1, which fixes every coefficient, and for v = 1/g it reads
+    (1+y)(yv)' = 1, solved by yv = log(1+y).
+ 4. C(a theta, r) has no constant term, and its theta-linear coefficient
+    is a(-1)^(r-1)/r.  theta^i W_k has ord <= 2-i, so the ord-1 part of
+    Lambda_t is a T sum_{r=1..t+1} (-1)^(r-1)/r l_{t-r}
+    = a T [y^(t+1)] (log(1+y) g(y)) = a T [y^(t+1)] y, which is 0 for
+    t >= 1.  So ord Lambda_t <= 0 for t >= 1, ord G_t <= 0 by
+    t G_t = sum_s s Lambda_s G_{t-s}, and entry t, (1-T) G_t, has ord <= 1:
+    len(p) <= L+2.
+
+tests/test_genfun_engine.py checks l_k against the Gregory coefficients
+and len(p) <= L+2 on every entry up to t = 32 at six shifts.  With the
+count a b^{n-1} and X = 2 b^{n-1} E_1 = (S - b^n) + n(a-2) b^{n-1}
+(expectation_area), the coefficient is an identity in E_1:
+
+    Q^(k)(1) = k! (b^{n-1} num + beta X) / den,  den = d (L-1)!,
+    A_k = k! num / (a den),  B_k = 2 k! beta / (a den),
+    num = (alpha - e_0) b - e_1 n + beta (b - n(a-2)),
+
+an integer polynomial in n.  _lagrange_parts reads each entry into
+(num, beta, den) once; jet_many evaluates the first line at every state,
+and shift_identity returns the second as Fractions.
 """
 
 from __future__ import annotations
@@ -179,9 +213,11 @@ def _sweep(targets: Iterable[tuple[int, int]], unit, step, budget: int | None):
     """Drive a diagonal-step kernel over the triangle covering `targets`.
 
     `step(prev, s, n_cap, binom)` computes diagonal s from diagonal s-1 and
-    `unit` is the entry of state (0, 0).  Returns {(n, a): kernel entry} for
-    each requested state (None for zero states).  Only two diagonals are
-    live at any moment.
+    `unit` is the entry of every state (0, a).  Returns {(n, a): kernel
+    entry} for each requested state (None for zero states).  Only two
+    diagonals are live at any moment, and the walk stops at the longest
+    diagonal of a target with n >= 1: the n = 0 targets are harvested as
+    `unit` without one, while the guard still sees every target.
     """
     targets = sorted(set(targets))
     if not targets:
@@ -189,18 +225,16 @@ def _sweep(targets: Iterable[tuple[int, int]], unit, step, budget: int | None):
     if any(n < 0 or a < 0 for n, a in targets):
         raise ValueError("states need n >= 0 and a >= 0")
     n_cap = max(n for n, _ in targets)
-    s_max = max(n + a for n, a in targets)
     if budget is not None:
-        _check_cell_budget(targets, n_cap, s_max, budget)
+        _check_cell_budget(targets, n_cap, max(n + a for n, a in targets), budget)
+    harvest: dict[tuple[int, int], object] = {(n, a): unit for n, a in targets if n == 0}
     by_diag: dict[int, list[tuple[int, int]]] = {}
     for n, a in targets:
-        by_diag.setdefault(n + a, []).append((n, a))
+        if n:
+            by_diag.setdefault(n + a, []).append((n, a))
     binom = binomial_rows(n_cap)
-    harvest: dict[tuple[int, int], object] = {}
     prev = [unit]
-    for n, a in by_diag.get(0, ()):
-        harvest[(n, a)] = prev[0]
-    for s in range(1, s_max + 1):
+    for s in range(1, max(by_diag, default=0) + 1):
         cur = step(prev, s, n_cap, binom)
         for n, a in by_diag.get(s, ()):
             harvest[(n, a)] = cur[n]
@@ -364,9 +398,9 @@ def jet_many(targets: Iterable[tuple[int, int]], order: int) -> dict[tuple[int, 
 
     Each shift builds one table (_shift_table) up to the highest order its
     states can use, since orders above deg Q(n,a) = n(2a+n-3)/2 are zeros,
-    and reads each entry once (_lagrange_parts).  Each state is then
-    Q(1) = a b^{n-1}, one Abel sum S and, per order t,
-    t! (alpha(n) b^n + beta(n) S - sum_l e_l g_l)/den.
+    and reads each entry once into (num, beta, den) (_lagrange_parts).
+    Each state is then Q(1) = a b^{n-1}, one Abel sum for
+    X = 2 b^{n-1} E_1 and, per order t, t! (b^{n-1} num(n) + beta(n) X)/den.
     """
     if order < 0:
         raise ValueError("need order >= 0")
@@ -376,17 +410,16 @@ def jet_many(targets: Iterable[tuple[int, int]], order: int) -> dict[tuple[int, 
     parts: dict[int, list] = {}
     jets = {}
     for n, a in targets:  # the longest length at a shift uses the most orders
-        b = a + n
         top = min(order, n * (2 * a + n - 3) // 2) if a else 0
         if top and a not in parts:
             parts[a] = [_lagrange_parts(entry, a) for entry in _shift_table(a, top)[1:]]
-        values = [a * b ** (n - 1) if n else 1]
-        bn, s = (b ** n, abel_sum(n, b)) if top else (0, 0)
-        for t, (alpha, beta, heads, den) in enumerate(parts.get(a, [])[:top], 1):
-            acc = (horner(alpha, n) * bn + horner(beta, n) * s
-                   - sum(e * falling_factorial(n, l) * bn // b ** l  # e_l g_l
-                         for l, e in enumerate(heads[:n + 1])))
-            values.append(acc // den * math.factorial(t))
+        values = [a * (a + n) ** (n - 1) if n else 1]
+        if top:
+            tail, power = _abel_tail(n, a)
+            x = tail + n * (a - 2) * power  # 2 b^{n-1} E_1
+            for t, (num, beta, den) in enumerate(parts[a][:top], 1):
+                values.append((power * horner(num, n) + horner(beta, n) * x) // den
+                              * math.factorial(t))
         values += [0] * (order + 1 - len(values))
         jets[(n, a)] = JetAtOne(n=n, a=a, order=order, values=tuple(values))
     return jets
@@ -441,12 +474,11 @@ def _moment_sum(weights: list[int], x: list[int], y: list[int], a: int) -> list[
     return total
 
 
-def _lagrange_parts(entry, a: int) -> tuple[list[int], list[int], list[int], int]:
-    """(alpha, beta, heads, den) of one shift-table entry (module docstring).
+def _lagrange_parts(entry, a: int) -> tuple[list[int], list[int], int]:
+    """(num, beta, den) of one shift-table entry (module docstring).
 
-    At length n its Taylor coefficient is (alpha(n) b^n + beta(n) S -
-    sum_l heads[l] g_l) / den, with alpha and beta integer coefficient
-    lists in n and heads[l] = e_l for every l < len(p) - L.
+    num and beta are integer coefficient lists in n, and the entry's
+    identity is A_t = t! num/(a den), B_t = 2 t! beta/(a den).
     """
     L, p, d = entry
     m = L - 1
@@ -458,21 +490,20 @@ def _lagrange_parts(entry, a: int) -> tuple[list[int], list[int], list[int], int
     weights = [binomial(m, r) * w for r, w in enumerate(weights)]
     alpha = _moment_sum(weights, [0], [a, 1], a)  # G_0 = S, G_1 = b^{n+1} - a S
     beta = _moment_sum(weights, [1], [-a], a)
-    heads = [sum(c * falling_factorial(l - j + m, m) for j, c in enumerate(p) if j > l)
-             for l in range(len(p) - L)]
-    return alpha, beta, heads, d * falling_factorial(m, m)
-
-
-def shift_identity(k: int, a: int) -> tuple[list[Fraction], list[Fraction]]:
-    """A_k and B_k at shift a, as coefficient lists in n (module docstring)."""
-    alpha, beta, heads, den = _lagrange_parts(_shift_table(a, k)[k], a)
-    e0, e1 = (heads + [0, 0])[:2]
+    e0, e1 = (sum(c * falling_factorial(l - j + m, m) for j, c in enumerate(p) if j > l)
+              for l in (0, 1))
     alpha[0] -= e0
     num = [0] * (len(alpha) + 1)  # alpha b + beta (b - n(a-2)) - e1 n
     for i, (x, y) in enumerate(zip(alpha, beta)):
         num[i] += a * (x + y)
         num[i + 1] += x + (3 - a) * y
     num[1] -= e1
+    return num, beta, d * falling_factorial(m, m)
+
+
+def shift_identity(k: int, a: int) -> tuple[list[Fraction], list[Fraction]]:
+    """A_k and B_k at shift a, as coefficient lists in n (module docstring)."""
+    num, beta, den = _lagrange_parts(_shift_table(a, k)[k], a)
     k_fact = falling_factorial(k, k)
     return ([Fraction(k_fact * c, a * den) for c in num],
             [Fraction(2 * k_fact * c, a * den) for c in beta])

@@ -212,6 +212,19 @@ def test_polynomial_guard_refuses_a_huge_n_at_once(argv):
                    f"slots needs {SLOTS_AT_ONE_MILLION}, cap is 10000000\n")
 
 
+@pytest.mark.parametrize("argv", [["genfun", "--n", "0", "--a", "9223372036854775807"],
+                                  ["hist", "--n", "0", "--a", str(10 ** 30)]],
+                         ids=["genfun", "hist"])
+def test_length_zero_at_a_huge_shift_answers_at_once(argv):
+    # --a has no upper bound; Q(0,a) = 1 needs no walk over a diagonals
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "parkstat.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[0].endswith("total 1")
+
+
 def test_exit_code_on_invalid_value(capsys):
     code, _, err = run_cli(capsys, "moments", "--n", "0")
     assert code == 2
@@ -460,6 +473,12 @@ GOLDEN = [
     ("airy --k 8 --grid 100,400 --format csv", 4,
      "051f6b08b9f46159e3870ab7e561a0fb1cd731c973b99ef5f91a329392b8c8f5",
      "airy: convergence check failed for k in [4, 5, 6, 7, 8]\n"),
+    # orders up to 20 at a long length, through the moment identity's jets
+    ("moments --n 300 --a 3 --k 20 --format json", 0,
+     "006bb77fa1f9c3880fc8566618f1bbfb9cbabe8efe2d2589ab45ce1bc6d16217", ""),
+    # Q(0,a) = 1 at any shift, harvested without walking a diagonals
+    ("genfun --n 0 --a 9223372036854775807", 0,
+     "bed51212af3ff4bb0af41e66023f84c9537c3720ac40fa13d0ce4f2d5b900f5d", ""),
 ]
 
 

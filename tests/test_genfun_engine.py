@@ -245,6 +245,16 @@ def test_jets_equal_suffix_sums_at_long_lengths():
             assert value == suffix_sum(n, a, order), (n, a, order)
 
 
+def test_jets_equal_suffix_sums_at_high_order():
+    # orders above 8 at a long length, which the convolution reference
+    # cannot reach in test time
+    got = jet_many([(300, 1), (300, 3)], 20)
+    for (n, a), jet in got.items():
+        assert len(jet.values) == 21
+        for order, value in enumerate(jet.values):
+            assert value == suffix_sum(n, a, order), (n, a, order)
+
+
 def test_jets_equal_convolution_reference_sparse_and_long():
     sparse = [(n, a) for n in range(0, 25) for a in (17, 40, 100, 300)]
     long = [(100, 2), (200, 5), (150, 300)]
@@ -280,11 +290,37 @@ def test_abel_sum_equals_the_term_by_term_sum(n, a):
 
 
 def test_shift_table_entries_have_two_head_terms():
-    # shift_identity reads head terms at l = 0 and 1 only, which needs
-    # len(p) <= L + 2 in every entry it uses
+    # the module docstring proves len(p) <= L + 2 for every entry, so the
+    # identity reads head terms at l = 0 and 1 only; this spot-checks it
     for a in (1, 2, 3, 7, 40, 300):
-        for L, p, _ in genfun_engine._shift_table(a, 16)[1:]:
+        for L, p, _ in genfun_engine._shift_table(a, 32)[1:]:
             assert len(p) <= L + 2, (a, L, len(p))
+
+
+def gregory_coefficients(count):
+    # y/log(1+y) by inverting the series log(1+y)/y = sum_i (-1)^i y^i/(i+1)
+    h = [Fraction((-1) ** i, i + 1) for i in range(count)]
+    g = [Fraction(1)]
+    for m in range(1, count):
+        g.append(-sum(h[i] * g[m - i] for i in range(1, m + 1)))
+    return g
+
+
+def test_wright_leading_coefficients_are_the_gregory_coefficients():
+    # steps 2 and 3 of the module docstring's proof: theta W_k ~ l_k T at
+    # T = infinity, l_k obeys the recurrence read off Wright's, and
+    # sum_k l_k y^(k+1) = y/log(1+y), for k = -1..30
+    gregory = gregory_coefficients(32)
+    lead = [Fraction(1), Fraction(1, 2)]
+    for k in range(30):
+        pairs = sum(lead[i + 1] * lead[k - i + 1] for i in range(k + 1))
+        lead.append(-(k * lead[k + 1] + pairs) / (k + 3))
+    assert lead == gregory
+    thetas = genfun_engine._wright(31)[0]
+    assert len(thetas) == 33
+    for k, (L, p, d) in enumerate(thetas[:32], -1):
+        assert len(p) - 1 - L == 1, k  # ord theta W_k = 1 exactly
+        assert Fraction(p[-1] * (-1) ** L, d) == gregory[k + 1], k
 
 
 def _pmul(p: PolyX, q: PolyX) -> PolyX:

@@ -39,15 +39,17 @@ AIRY = "src/parkstat/airy.py"
 MUTANTS = [
     ("abel_sum leaf", ENGINE,
      "return n - lo + 1, n - lo + 1", "return n - lo + 1, n - lo"),
-    ("jet heads past l = 0 dropped", ENGINE,
-     "enumerate(heads[:n + 1])", "enumerate(heads[:1])"),
+    ("jet X = 2 b^(n-1) E_1 with n(a-1)", ENGINE,
+     "x = tail + n * (a - 2) * power", "x = tail + n * (a - 1) * power"),
+    ("n = 0 harvest only at shift 0", ENGINE,
+     "unit for n, a in targets if n == 0}", "unit for n, a in targets if n + a == 0}"),
     ("suffix_sum starts one term low", ENGINE,
      "for l in range(n, -1, -1):", "for l in range(n - 1, -1, -1):"),
     ("cell guard counts the zero state Q(s,0)", ENGINE,
      "m = min(max(s - 1, 0), n_cap)", "m = min(max(s, 0), n_cap)"),
     ("_moment_sum sign", ENGINE,
      "z = [-(2 * r + 2 + a) * c for c in y]", "z = [(2 * r + 2 + a) * c for c in y]"),
-    ("shift_identity e_1 sign", ENGINE,
+    ("_lagrange_parts e_1 sign", ENGINE,
      "num[1] -= e1", "num[1] += e1"),
     ("genfun_step exponent", KERNELS,
      "e = k * (k + 2 * a - 3) // 2\n            for i in range(len(child)):",
